@@ -99,11 +99,6 @@ struct ServerConfig {
   /// (a handful of integer ops) charged for each subtree skipped.
   dtio::SimTime subtree_probe_cost = 50;  // ns
 
-  /// Idempotent-replay window: how many recent write/create acks the
-  /// server remembers per (client, sequence) key. A retried request whose
-  /// ack is still in the window is re-acknowledged without re-applying.
-  std::size_t replay_window_entries = 1024;
-
   /// Age bound on replay-window entries (simulated time; 0 = count-only
   /// eviction, the default — scenarios opt in like the other robustness
   /// gates). Long-lived clients with sparse retries would otherwise pin
@@ -144,29 +139,9 @@ struct ServerConfig {
   /// faster, but a crash loses unflushed dirty data.
   bool cache_write_through = false;
 
-  /// Max blocks prefetched per detected-stream trigger; 0 disables
-  /// readahead.
-  int cache_readahead_blocks = 8;
-
-  /// Consecutive equal strides on a handle before readahead arms.
-  int cache_readahead_min_run = 2;
-
   /// Dirty fraction of capacity that triggers a background flush of the
   /// oldest dirty blocks (write-back only).
   double cache_dirty_watermark = 0.5;
-
-  // ---- Restart resync (ClusterConfig::replication > 1 only; dormant —
-  // and the event sequence bit-identical — at replication 1).
-
-  /// Reply deadline per kResyncPull RPC issued during the restart resync
-  /// phase, and the retry_after hint attached to writes refused while the
-  /// phase runs.
-  dtio::SimTime resync_pull_timeout = 50 * dtio::kMillisecond;
-
-  /// Attempts per replica peer before the peer is skipped (bounds the
-  /// resync phase under an adversarial fault plan; skips are counted in
-  /// ServerStats::resync_peers_skipped and the next restart retries).
-  int resync_pull_attempts = 3;
 
   // ---- Storage integrity (all default-off; see docs/fault-model.md).
 
@@ -181,18 +156,12 @@ struct ServerConfig {
 
   /// Background scrubber period. 0 (default) = no scrubber. Nonzero
   /// (requires block_checksums): every scrub_interval of simulated time
-  /// the server walks a slice of its stores (primary and replica),
-  /// verifies page checksums on the async disk-drain path, repairs bad
-  /// pages from ring peers at replication > 1, and counts typed losses at
-  /// replication 1. The loop parks while the store is quiescent (no
-  /// writes since the last clean pass) so an idle simulation still
-  /// drains.
+  /// the server walks its whole store (primary and replica copies),
+  /// verifies page checksums, repairs bad pages from ring peers at
+  /// replication > 1, and counts typed losses at replication 1. The loop
+  /// parks while the store is quiescent (no writes since the last clean
+  /// pass) so an idle simulation still drains.
   dtio::SimTime scrub_interval = 0;
-
-  /// Bytes verified per scrub pass. 0 = the whole store in one pass;
-  /// nonzero bounds per-pass disk time, with a cursor carrying progress
-  /// across passes.
-  std::int64_t scrub_bytes_per_pass = 0;
 };
 
 struct ClientConfig {
@@ -244,11 +213,10 @@ struct ClientConfig {
   /// Total attempts per request (1 = no retries) when rpc_timeout > 0.
   int rpc_max_attempts = 5;
 
-  /// Backoff before attempt n+1: base * multiplier^(n-1), plus a
-  /// deterministic jitter drawn from the client's seeded RNG, uniform in
+  /// Backoff before attempt n+1: base * 2^(n-1), plus a deterministic
+  /// jitter drawn from the client's seeded RNG, uniform in
   /// [0, jitter * backoff).
   dtio::SimTime rpc_backoff_base = 2 * dtio::kMillisecond;
-  double rpc_backoff_multiplier = 2.0;
   double rpc_backoff_jitter = 0.25;
 
   // ---- Overload protection (all default-off; see docs/fault-model.md).
@@ -270,10 +238,6 @@ struct ClientConfig {
   /// success closes the breaker, failure re-opens it.
   int breaker_failures = 0;
   dtio::SimTime breaker_open_duration = 50 * dtio::kMillisecond;
-
-  /// EWMA smoothing for per-server latency / failure-rate health tracking
-  /// (diagnostics; breaker trips on the consecutive-failure count).
-  double health_ewma_alpha = 0.2;
 
   /// Hedged reads: percentile of the per-server observed attempt-latency
   /// distribution after which a read-class RPC issues one hedge to the

@@ -13,6 +13,27 @@
 
 namespace dtio::pfs {
 
+namespace {
+
+/// Growth factor of the retry backoff.
+constexpr double kRpcBackoffMultiplier = 2.0;
+
+/// Backoff before the `retry`-th retry (1-based), before jitter:
+/// base * kRpcBackoffMultiplier^(retry-1).
+SimTime retry_backoff(SimTime base, int retry) {
+  for (int i = 1; i < retry; ++i) {
+    base = static_cast<SimTime>(static_cast<double>(base) *
+                                kRpcBackoffMultiplier);
+  }
+  return base;
+}
+
+/// EWMA smoothing for per-server latency / failure-rate health tracking
+/// (diagnostics; the breaker trips on the consecutive-failure count).
+constexpr double kHealthEwmaAlpha = 0.2;
+
+}  // namespace
+
 Client::Client(sim::Scheduler& sched, net::Network& network,
                const net::ClusterConfig& config, int rank)
     : sched_(&sched),
@@ -347,7 +368,7 @@ void Client::note_window_decrease(Lane& l) {
 }
 
 void Client::health_note(Lane& l, SimTime latency, bool failed, bool hedged) {
-  const double a = config_->client.health_ewma_alpha;
+  const double a = kHealthEwmaAlpha;
   l.failure_rate = a * (failed ? 1.0 : 0.0) + (1.0 - a) * l.failure_rate;
   if (failed) return;
   l.ewma_latency_ns =
@@ -458,18 +479,12 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     window_slot.client = this;
     window_slot.server = slot->server;
   }
-  const bool is_data_read = slot->request.op == OpKind::kContigRead ||
-                            slot->request.op == OpKind::kListRead ||
-                            slot->request.op == OpKind::kDatatypeRead;
+  const bool data_read = is_data_read(slot->request.op);
 
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempt > 1) {
       // Exponential backoff with deterministic jitter before each retry.
-      SimTime backoff = cc.rpc_backoff_base;
-      for (int i = 2; i < attempt; ++i) {
-        backoff = static_cast<SimTime>(static_cast<double>(backoff) *
-                                       cc.rpc_backoff_multiplier);
-      }
+      SimTime backoff = retry_backoff(cc.rpc_backoff_base, attempt - 1);
       if (cc.rpc_backoff_jitter > 0) {
         backoff += static_cast<SimTime>(rng_.next_double() *
                                         cc.rpc_backoff_jitter *
@@ -539,7 +554,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       // hedging a write would double-apply without replay protection, and
       // read hedges are idempotent by nature.
       SimTime hedge_delay = 0;
-      if (cc.hedge_quantile > 0 && is_data_read &&
+      if (cc.hedge_quantile > 0 && data_read &&
           ln.samples >= static_cast<std::uint64_t>(
                             std::max(1, cc.hedge_min_samples)) &&
           ln.breaker == Lane::Breaker::kClosed) {
@@ -684,7 +699,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         // the retry budget (and its backoffs) against the same bad pages
         // cannot succeed. Surface the typed loss now. Reads only: a
         // write-payload CRC rejection is cured by the retry's clean copy.
-        if (cc.data_loss_fast_fail > 0 && is_data_read) {
+        if (cc.data_loss_fast_fail > 0 && data_read) {
           if (reply.error == last_loss_error) {
             ++loss_repeats;
           } else {
@@ -722,7 +737,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
                                " unreachable after " +
                                std::to_string(max_attempts) + " attempts");
   } else {
-    if (last.code() == StatusCode::kDataLoss && is_data_read) {
+    if (last.code() == StatusCode::kDataLoss && data_read) {
       // Same terminal outcome as the fast-fail path, reached the slow way.
       note_data_loss_surfaced(slot->server);
     }
@@ -740,10 +755,7 @@ sim::Fire Client::rpc_fire(RpcSlot* slot, sim::WaitGroup* wg) {
 sim::Task<void> Client::rpc_attempts_failover(RpcSlot* slot) {
   const net::ClientConfig& cc = config_->client;
   const int repl = effective_replication();
-  const bool is_data_read = slot->request.op == OpKind::kContigRead ||
-                            slot->request.op == OpKind::kListRead ||
-                            slot->request.op == OpKind::kDatatypeRead;
-  if (repl <= 1 || !is_data_read) {
+  if (repl <= 1 || !is_data_read(slot->request.op)) {
     co_await rpc_attempts(slot);
     co_return;
   }
@@ -761,12 +773,7 @@ sim::Task<void> Client::rpc_attempts_failover(RpcSlot* slot) {
       // Every replica refused or timed out: back off like a retry before
       // sweeping the ring again (restarting servers finish resync, open
       // breakers reach their cool-down).
-      SimTime backoff = cc.rpc_backoff_base;
-      for (int i = 1; i < round; ++i) {
-        backoff = static_cast<SimTime>(static_cast<double>(backoff) *
-                                       cc.rpc_backoff_multiplier);
-      }
-      co_await sched_->delay(backoff);
+      co_await sched_->delay(retry_backoff(cc.rpc_backoff_base, round));
     }
     for (int k = 0; k < repl; ++k) {
       slot->server = layout_.replica_server(primary, k);
@@ -1025,81 +1032,29 @@ sim::Task<Status> Client::write_contig(std::uint64_t handle,
                                        std::int64_t offset,
                                        const std::uint8_t* data,
                                        std::int64_t length) {
-  ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const Region region{offset, length};
-  const std::int64_t pieces =
-      build_access(layout_for(handle), std::span<const Region>(&region, 1),
-                   *access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = OpKind::kContigWrite;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = ContigPayload{offset, length, nullptr};
-  return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)), data,
-                      nullptr, Box<Request>(std::move(prototype)));
+  return data_op(OpKind::kContigWrite, handle,
+                 ContigPayload{offset, length, nullptr}, data, nullptr);
 }
 
 sim::Task<Status> Client::read_contig(std::uint64_t handle,
                                       std::int64_t offset, std::uint8_t* out,
                                       std::int64_t length) {
-  ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const Region region{offset, length};
-  const std::int64_t pieces =
-      build_access(layout_for(handle), std::span<const Region>(&region, 1),
-                   *access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = OpKind::kContigRead;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = ContigPayload{offset, length, nullptr};
-  return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
-                      nullptr, out, Box<Request>(std::move(prototype)));
+  return data_op(OpKind::kContigRead, handle,
+                 ContigPayload{offset, length, nullptr}, nullptr, out);
 }
 
 sim::Task<Status> Client::write_list(std::uint64_t handle,
                                      std::vector<Region> regions,
                                      const std::uint8_t* stream) {
-  ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const std::int64_t pieces =
-      build_access(layout_for(handle), regions, *access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = OpKind::kListWrite;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = ListPayload{std::move(regions), nullptr};
-  return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
-                      stream, nullptr, Box<Request>(std::move(prototype)));
+  return data_op(OpKind::kListWrite, handle,
+                 ListPayload{std::move(regions), nullptr}, stream, nullptr);
 }
 
 sim::Task<Status> Client::read_list(std::uint64_t handle,
                                     std::vector<Region> regions,
                                     std::uint8_t* stream) {
-  ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const std::int64_t pieces =
-      build_access(layout_for(handle), regions, *access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = OpKind::kListRead;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = ListPayload{std::move(regions), nullptr};
-  return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
-                      nullptr, stream, Box<Request>(std::move(prototype)));
+  return data_op(OpKind::kListRead, handle,
+                 ListPayload{std::move(regions), nullptr}, nullptr, stream);
 }
 
 namespace {
@@ -1127,44 +1082,54 @@ sim::Task<Status> Client::write_datatype(
     std::uint64_t handle, dl::DataloopPtr filetype, std::int64_t displacement,
     std::int64_t count, std::int64_t stream_offset, std::int64_t stream_length,
     const std::uint8_t* stream) {
-  ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const std::int64_t pieces =
-      build_access_datatype(layout_for(handle), filetype, displacement, count,
-                            stream_offset, stream_length, *access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = OpKind::kDatatypeWrite;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = make_datatype_payload(filetype, displacement, count,
-                                            stream_offset, stream_length);
-  return run_requests(config_->client.dataloop_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
-                      stream, nullptr, Box<Request>(std::move(prototype)));
+  return data_op(OpKind::kDatatypeWrite, handle,
+                 make_datatype_payload(filetype, displacement, count,
+                                       stream_offset, stream_length),
+                 stream, nullptr, filetype);
 }
 
 sim::Task<Status> Client::read_datatype(
     std::uint64_t handle, dl::DataloopPtr filetype, std::int64_t displacement,
     std::int64_t count, std::int64_t stream_offset, std::int64_t stream_length,
     std::uint8_t* stream) {
+  return data_op(OpKind::kDatatypeRead, handle,
+                 make_datatype_payload(filetype, displacement, count,
+                                       stream_offset, stream_length),
+                 nullptr, stream, filetype);
+}
+
+sim::Task<Status> Client::data_op(OpKind op, std::uint64_t handle,
+                                  RequestPayload payload,
+                                  const std::uint8_t* write_stream,
+                                  std::uint8_t* read_stream,
+                                  const dl::DataloopPtr& filetype) {
   ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const std::int64_t pieces =
-      build_access_datatype(layout_for(handle), filetype, displacement, count,
-                            stream_offset, stream_length, *access);
+  const FileLayout& layout = layout_for(handle);
+  std::vector<ServerAccess> access;
+  std::int64_t pieces = 0;
+  SimTime per_region = config_->client.flatten_cost_per_region;
+  if (const auto* c = std::get_if<ContigPayload>(&payload)) {
+    const Region region{c->offset, c->length};
+    pieces = build_access(layout, std::span<const Region>(&region, 1), access);
+  } else if (const auto* l = std::get_if<ListPayload>(&payload)) {
+    pieces = build_access(layout, l->regions, access);
+  } else {
+    const auto& d = std::get<DatatypePayload>(payload);
+    pieces = build_access_datatype(layout, filetype, d.displacement, d.count,
+                                   d.stream_offset, d.stream_length, access);
+    per_region = config_->client.dataloop_cost_per_region;
+  }
   stats_.regions_client += static_cast<std::uint64_t>(pieces);
 
   Request prototype;
-  prototype.op = OpKind::kDatatypeRead;
+  prototype.op = op;
   prototype.handle = handle;
   prototype.carry_data = transfer_data_;
-  prototype.payload = make_datatype_payload(filetype, displacement, count,
-                                            stream_offset, stream_length);
-  return run_requests(config_->client.dataloop_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
-                      nullptr, stream, Box<Request>(std::move(prototype)));
+  prototype.payload = std::move(payload);
+  return run_requests(per_region * pieces,
+                      Box<std::vector<ServerAccess>>(std::move(access)),
+                      write_stream, read_stream,
+                      Box<Request>(std::move(prototype)));
 }
 
 // ---- Request fan-out -------------------------------------------------------------
@@ -1178,9 +1143,7 @@ sim::Task<Status> Client::run_requests(
   // Carry the file's per-file layout (if any) so every data server can
   // rebuild the striping without consulting a metadata shard.
   stamp_layout(prototype);
-  const bool is_write = prototype.op == OpKind::kContigWrite ||
-                        prototype.op == OpKind::kListWrite ||
-                        prototype.op == OpKind::kDatatypeWrite;
+  const bool is_write = is_data_write(prototype.op);
 
   std::int64_t total_bytes = 0;
   for (const ServerAccess& acc : access) total_bytes += acc.total_bytes;

@@ -478,6 +478,16 @@ class Client {
   OpTrace begin_op(OpKind op);
   void finish_op(OpKind op, const OpTrace& t);
 
+  /// The step the six data entry points share: build the per-server access
+  /// lists for the payload's method (datatype payloads expand `filetype`),
+  /// charge the method's client CPU per piece, and fan out via
+  /// run_requests.
+  sim::Task<Status> data_op(OpKind op, std::uint64_t handle,
+                            RequestPayload payload,
+                            const std::uint8_t* write_stream,
+                            std::uint8_t* read_stream,
+                            const dl::DataloopPtr& filetype = nullptr);
+
   /// Issue one data request per involved server (per the access lists) and
   /// await all replies. For writes, segments `write_stream` per server;
   /// for reads, scatters reply data back into `read_stream`.

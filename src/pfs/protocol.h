@@ -52,6 +52,19 @@ enum class OpKind : std::uint8_t {
   kResyncPull,  ///< server-to-server: restarting replica pulls diverged strips
 };
 
+/// True for the ops that store client bytes on a server: the three write
+/// methods and the write-behind batch envelope.
+[[nodiscard]] constexpr bool is_data_write(OpKind op) noexcept {
+  return op == OpKind::kContigWrite || op == OpKind::kListWrite ||
+         op == OpKind::kDatatypeWrite || op == OpKind::kBatchWrite;
+}
+
+/// True for the three client data reads.
+[[nodiscard]] constexpr bool is_data_read(OpKind op) noexcept {
+  return op == OpKind::kContigRead || op == OpKind::kListRead ||
+         op == OpKind::kDatatypeRead;
+}
+
 using DataBuffer = std::shared_ptr<std::vector<std::uint8_t>>;
 
 /// Contiguous access: logical [offset, offset+length); the server clips to
@@ -173,6 +186,9 @@ struct BatchPayload {
   std::vector<BatchSubOp> sub_ops;
 };
 
+using RequestPayload = std::variant<ContigPayload, ListPayload, DatatypePayload,
+                                    MetaPayload, BatchPayload, ResyncPayload>;
+
 struct Request {
   OpKind op = OpKind::kContigRead;
   std::uint64_t handle = 0;
@@ -213,9 +229,7 @@ struct Request {
   int layout_servers = 0;
   std::int64_t layout_strip = 0;
   int layout_start = 0;
-  std::variant<ContigPayload, ListPayload, DatatypePayload, MetaPayload,
-               BatchPayload, ResyncPayload>
-      payload;
+  RequestPayload payload;
 };
 
 struct Reply {

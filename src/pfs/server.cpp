@@ -16,7 +16,58 @@ namespace dtio::pfs {
 
 namespace {
 
-/// Shared region-application state for the three data interfaces: walks
+/// Idempotent-replay window: how many recent write/create acks the server
+/// remembers per (client, sequence) key. A retried request whose ack is
+/// still in the window is re-acknowledged without re-applying.
+constexpr std::size_t kReplayWindowEntries = 1024;
+
+/// Reply deadline per kResyncPull RPC (restart resync and in-line repair),
+/// and the retry_after hint attached to writes refused while resync runs.
+constexpr SimTime kResyncPullTimeout = 50 * kMillisecond;
+
+/// Attempts per replica peer before a resync or repair pull skips it
+/// (bounds the phase under an adversarial fault plan; resync skips are
+/// counted in ServerStats::resync_peers_skipped and the next restart
+/// retries).
+constexpr int kResyncPullAttempts = 3;
+
+/// Applies one physical write run: through the buffer cache when it is on
+/// (`plan` collects the disk work the handler charges afterwards), else
+/// straight to the bstream — the bytes when the request carries them, a
+/// size-only note in timing-only mode. Shared by the region applier and
+/// the batch envelope's sub-ops.
+void write_run(cache::BlockCache* cache, cache::AccessPlan& plan,
+               Bstream& bstream, std::uint64_t handle, Region phys,
+               const std::uint8_t* bytes) {
+  const std::span<const std::uint8_t> data =
+      bytes != nullptr
+          ? std::span<const std::uint8_t>(bytes,
+                                          static_cast<std::size_t>(phys.length))
+          : std::span<const std::uint8_t>{};
+  if (cache != nullptr) {
+    cache->write(handle, phys.offset, phys.length, data, plan);
+  } else if (bytes != nullptr) {
+    bstream.write(phys.offset, data);
+  } else {
+    bstream.note_write(phys.offset, phys.length);
+  }
+}
+
+/// The bulk data a request's payload carries (write bytes), or nullptr
+/// for payloads that carry none.
+const DataBuffer* payload_data(const Request& request) {
+  return std::visit(
+      [](const auto& payload) -> const DataBuffer* {
+        if constexpr (requires { payload.data; }) {
+          return &payload.data;
+        } else {
+          return nullptr;
+        }
+      },
+      request.payload);
+}
+
+/// Region-application state for contig, list and datatype requests: walks
 /// logical regions in stream order, clips them to this server's strips,
 /// and moves bytes between the bstream and the request/reply buffers.
 struct Applier {
@@ -47,6 +98,15 @@ struct Applier {
   std::int64_t my_pieces = 0;  ///< pieces on this server
   std::int64_t my_bytes = 0;
 
+  /// One allocation up front instead of per-piece regrowth: `window`
+  /// logical bytes bound this server's share of the reply.
+  void reserve(std::int64_t window) {
+    if (reply_data) {
+      reply_data->reserve(
+          static_cast<std::size_t>(layout.max_server_bytes(window)));
+    }
+  }
+
   void apply(Region logical) {
     layout.map_region(logical, [&](int server, Region phys, std::int64_t) {
       ++pieces;
@@ -54,22 +114,9 @@ struct Applier {
       ++my_pieces;
       my_bytes += phys.length;
       if (is_write) {
-        if (cache != nullptr) {
-          cache->write(handle, phys.offset, phys.length,
-                       (carry_data && request_data)
-                           ? std::span<const std::uint8_t>(
-                                 request_data->data() + my_pos,
-                                 static_cast<std::size_t>(phys.length))
-                           : std::span<const std::uint8_t>{},
-                       *plan);
-        } else if (carry_data && request_data) {
-          bstream.write(phys.offset,
-                        std::span<const std::uint8_t>(
-                            request_data->data() + my_pos,
-                            static_cast<std::size_t>(phys.length)));
-        } else {
-          bstream.note_write(phys.offset, phys.length);
-        }
+        write_run(cache, *plan, bstream, handle, phys,
+                  (carry_data && request_data) ? request_data->data() + my_pos
+                                               : nullptr);
         if (applied_out != nullptr) applied_out->push_back(phys);
       } else if (cache != nullptr) {
         std::span<std::uint8_t> out;
@@ -95,6 +142,15 @@ struct Applier {
     });
   }
 };
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 }  // namespace
 
@@ -123,8 +179,6 @@ IOServer::IOServer(sim::Scheduler& sched, net::Network& network,
     cc.block_bytes = sc.cache_block_bytes;
     cc.capacity_bytes = sc.cache_capacity_bytes;
     cc.write_through = sc.cache_write_through;
-    cc.readahead_window = sc.cache_readahead_blocks;
-    cc.readahead_min_run = sc.cache_readahead_min_run;
     cc.dirty_watermark = sc.cache_dirty_watermark;
     cache_ = std::make_unique<cache::BlockCache>(cc, store_adapter_);
   }
@@ -255,13 +309,13 @@ void IOServer::crash() {
     obs_crash_discarded_->add(static_cast<std::uint64_t>(dropped));
   }
   // Process state dies with the process: decoded-datatype cache and the
-  // replay window restart cold. Namespace, bstreams, and the lock table
-  // model durable storage and survive.
+  // replay window restart cold. Namespace, bstreams, and the whole-file
+  // lock table model durable storage and survive.
   loop_cache_.clear();
   loop_cache_order_.clear();
   replay_acks_.clear();
   replay_order_.clear();
-  // Striped byte-range lock state is process state too (unlike the legacy
+  // Striped byte-range lock state is process state too (unlike the
   // whole-file table, which models durable storage): holders evaporate,
   // and the parked waiters are stashed for deterministic re-grant at
   // restart — dropping them would strand their clients, whose lock path
@@ -404,8 +458,7 @@ sim::Task<void> IOServer::resync() {
   }
   for (const int peer : peers) {
     bool ok = false;
-    const int attempts = std::max(1, config_->server.resync_pull_attempts);
-    for (int attempt = 0; attempt < attempts && !ok; ++attempt) {
+    for (int attempt = 0; attempt < kResyncPullAttempts && !ok; ++attempt) {
       // Rebuilt per attempt: extents already applied from an earlier peer
       // raised our epochs, so later peers only ship what is still stale.
       Request req;
@@ -428,7 +481,7 @@ sim::Task<void> IOServer::resync() {
           server_index_, peer,
           sim::Message(server_index_, kTagRequest, wire, std::move(req)));
       auto maybe = co_await network_->mailbox(server_index_).recv_for(
-          peer, tag, config_->server.resync_pull_timeout);
+          peer, tag, kResyncPullTimeout);
       if (crashed_ || epoch_ != my_epoch) {
         // Crashed again mid-resync: the next restart owns recovery.
         if (obs_ != nullptr) obs_->spans.end(span, sched_->now());
@@ -439,7 +492,7 @@ sim::Task<void> IOServer::resync() {
       if (!reply.ok) {
         // Peer refused — typically because it is resyncing itself. Give it
         // one deadline's worth of time and try again.
-        co_await sched_->delay(config_->server.resync_pull_timeout);
+        co_await sched_->delay(kResyncPullTimeout);
         if (crashed_ || epoch_ != my_epoch) {
           if (obs_ != nullptr) obs_->spans.end(span, sched_->now());
           co_return;
@@ -508,6 +561,35 @@ sim::Task<void> IOServer::handle_resync_pull(Request& request) {
   std::int64_t direct_bytes = 0;  // bstream reads outside the cache
   const auto strip_size = static_cast<std::int64_t>(config_->strip_size);
   cache::AccessPlan plan;
+  // Ships this server's copy of (handle, primary)'s strip at `epoch` when
+  // it holds bytes there; a scoped pull ships only verified-clean copies.
+  auto ship = [&](std::uint64_t handle, int primary, std::int64_t strip,
+                  std::uint64_t epoch) {
+    const bool mine = primary == server_index_;
+    const Bstream* bs =
+        mine ? find_bstream(handle) : find_replica_bstream(handle, primary);
+    if (bs == nullptr) return;
+    const std::int64_t begin = strip * strip_size;
+    const std::int64_t end = std::min(begin + strip_size, bs->size());
+    if (end <= begin) return;
+    if (p.scoped && !bs->verify_range(begin, end - begin).empty()) return;
+    ResyncExtent ext{handle, primary, strip, epoch, begin, end - begin, {}};
+    auto buf = std::make_shared<std::vector<std::uint8_t>>(
+        static_cast<std::size_t>(ext.length));
+    const std::span<std::uint8_t> out(buf->data(), buf->size());
+    if (mine && cache_ != nullptr) {
+      // Primary strips read through the cache: staged write-back dirty
+      // data overlays the bstream, so the donor ships read-your-writes
+      // bytes (and pays the miss fills it causes).
+      cache_->read(handle, begin, ext.length, out, plan);
+    } else {
+      bs->read(begin, out);
+      direct_bytes += ext.length;
+    }
+    ext.data = std::move(buf);
+    wire_bytes += ext.length;
+    reply.resync.push_back(std::move(ext));
+  };
   if (p.scoped) {
     // Verify-and-repair pull: the requester's copy of exactly these strips
     // is corrupt, so epoch comparisons are meaningless — ship any strip
@@ -516,99 +598,30 @@ sim::Task<void> IOServer::handle_resync_pull(Request& request) {
     // rather than trading one bad copy for another).
     for (const StripEpoch& want : p.epochs) {
       if (!layout_.holds_replica_of(server_index_, want.primary, r)) continue;
-      const bool mine = want.primary == server_index_;
-      Bstream* bs = nullptr;
-      if (mine) {
-        const auto it = store_.find(want.handle);
-        if (it == store_.end()) continue;
-        bs = &it->second;
-      } else {
-        const auto rit = replica_store_.find({want.handle, want.primary});
-        if (rit == replica_store_.end()) continue;
-        bs = &rit->second;
-      }
-      const std::int64_t begin = want.strip * strip_size;
-      const std::int64_t end = std::min(begin + strip_size, bs->size());
-      if (end <= begin) continue;
-      if (!bs->verify_range(begin, end - begin).empty()) continue;
-      ResyncExtent ext;
-      ext.handle = want.handle;
-      ext.primary = want.primary;
-      ext.strip = want.strip;
       const auto eit =
           strip_epochs_.find({want.handle, want.primary, want.strip});
-      ext.epoch = eit == strip_epochs_.end() ? 0 : eit->second;
-      ext.offset = begin;
-      ext.length = end - begin;
-      auto buf = std::make_shared<std::vector<std::uint8_t>>(
-          static_cast<std::size_t>(ext.length));
-      if (mine && cache_ != nullptr) {
-        cache_->read(want.handle, begin, ext.length,
-                     std::span<std::uint8_t>(buf->data(), buf->size()), plan);
-      } else {
-        bs->read(begin, std::span<std::uint8_t>(buf->data(), buf->size()));
-        direct_bytes += ext.length;
-      }
-      ext.data = std::move(buf);
-      wire_bytes += ext.length;
-      reply.resync.push_back(std::move(ext));
+      ship(want.handle, want.primary, want.strip,
+           eit == strip_epochs_.end() ? 0 : eit->second);
     }
   } else {
-  // Requester epochs by strip; an absent key means the requester has never
-  // seen a write for the strip (epoch 0).
-  std::map<std::tuple<std::uint64_t, int, std::int64_t>, std::uint64_t>
-      theirs;
-  for (const StripEpoch& e : p.epochs) {
-    theirs[{e.handle, e.primary, e.strip}] = e.epoch;
-  }
-  for (const auto& [key, my_strip_epoch] : strip_epochs_) {
-    if (my_strip_epoch == 0) continue;
-    const auto& [handle, primary, strip] = key;
-    // Only strips the requester also replicates can help it.
-    if (!layout_.holds_replica_of(p.requester, primary, r)) continue;
-    const auto it = theirs.find(key);
-    if (my_strip_epoch <= (it == theirs.end() ? 0 : it->second)) continue;
-    const bool mine = primary == server_index_;
-    Bstream* bs = nullptr;
-    if (mine) {
-      bs = &store_[handle];
-    } else {
-      const auto rit = replica_store_.find({handle, primary});
-      if (rit == replica_store_.end()) continue;
-      bs = &rit->second;
+    // Requester epochs by strip; an absent key means the requester has
+    // never seen a write for the strip (epoch 0).
+    std::map<std::tuple<std::uint64_t, int, std::int64_t>, std::uint64_t>
+        theirs;
+    for (const StripEpoch& e : p.epochs) {
+      theirs[{e.handle, e.primary, e.strip}] = e.epoch;
     }
-    const std::int64_t begin = strip * strip_size;
-    const std::int64_t end = std::min(begin + strip_size, bs->size());
-    if (end <= begin) continue;
-    ResyncExtent ext;
-    ext.handle = handle;
-    ext.primary = primary;
-    ext.strip = strip;
-    ext.epoch = my_strip_epoch;
-    ext.offset = begin;
-    ext.length = end - begin;
-    auto buf = std::make_shared<std::vector<std::uint8_t>>(
-        static_cast<std::size_t>(ext.length));
-    if (mine && cache_ != nullptr) {
-      // Primary strips read through the cache: staged write-back dirty
-      // data overlays the bstream, so the donor ships read-your-writes
-      // bytes (and pays the miss fills it causes).
-      cache_->read(handle, begin, ext.length,
-                   std::span<std::uint8_t>(buf->data(), buf->size()), plan);
-    } else {
-      bs->read(begin, std::span<std::uint8_t>(buf->data(), buf->size()));
-      direct_bytes += ext.length;
+    for (const auto& [key, my_strip_epoch] : strip_epochs_) {
+      if (my_strip_epoch == 0) continue;
+      const auto& [handle, primary, strip] = key;
+      // Only strips the requester also replicates can help it.
+      if (!layout_.holds_replica_of(p.requester, primary, r)) continue;
+      const auto it = theirs.find(key);
+      if (my_strip_epoch <= (it == theirs.end() ? 0 : it->second)) continue;
+      ship(handle, primary, strip, my_strip_epoch);
     }
-    ext.data = std::move(buf);
-    wire_bytes += ext.length;
-    reply.resync.push_back(std::move(ext));
   }
-  }
-  if (cache_ != nullptr) {
-    cache_->maybe_background_flush(plan);
-    co_await charge_cache_plan(std::move(plan));
-  }
-  co_await charge_disk(direct_bytes);
+  co_await charge_storage(cache_.get(), std::move(plan), direct_bytes);
   reply.bytes = wire_bytes;
   send_reply(request.client_node, request.reply_tag, std::move(reply),
              static_cast<std::uint64_t>(wire_bytes));
@@ -622,15 +635,7 @@ bool IOServer::verify_integrity(const Request& request, Reply& reply) {
     return false;
   };
   if (request.has_payload_crc) {
-    const DataBuffer* data = std::visit(
-        [](const auto& payload) -> const DataBuffer* {
-          if constexpr (requires { payload.data; }) {
-            return &payload.data;
-          } else {
-            return nullptr;
-          }
-        },
-        request.payload);
+    const DataBuffer* data = payload_data(request);
     if (data != nullptr && *data && crc32(**data) != request.payload_crc) {
       return fail("write payload CRC mismatch");
     }
@@ -660,7 +665,7 @@ void IOServer::store_sub_ack(int client_node, std::uint64_t op_seq,
   const std::uint64_t key = replay_key(client_node, op_seq);
   if (!replay_acks_.emplace(key, reply).second) return;
   replay_order_.emplace_back(key, sched_->now());
-  if (replay_order_.size() > config_->server.replay_window_entries) {
+  if (replay_order_.size() > kReplayWindowEntries) {
     replay_acks_.erase(replay_order_.front().first);
     replay_order_.pop_front();
   }
@@ -887,14 +892,9 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
     // concurrent resync pull could then overwrite with pre-crash bytes
     // would silently diverge the copies. Peer resync pulls are refused
     // too — a copy that is itself catching up is not a donor.
-    const bool is_write = request.op == OpKind::kContigWrite ||
-                          request.op == OpKind::kListWrite ||
-                          request.op == OpKind::kDatatypeWrite ||
-                          request.op == OpKind::kBatchWrite;
-    const bool is_read = request.op == OpKind::kContigRead ||
-                         request.op == OpKind::kListRead ||
-                         request.op == OpKind::kDatatypeRead ||
-                         request.op == OpKind::kResyncPull;
+    const bool is_write = is_data_write(request.op);
+    const bool is_read =
+        is_data_read(request.op) || request.op == OpKind::kResyncPull;
     if (is_write || is_read) {
       ++stats_.resync_refused;
       Reply reply;
@@ -902,7 +902,7 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
       reply.error = "resync in progress";
       if (is_write) {
         reply.code = StatusCode::kOverloaded;
-        reply.retry_after = config_->server.resync_pull_timeout;
+        reply.retry_after = kResyncPullTimeout;
       } else {
         reply.code = StatusCode::kUnavailable;
       }
@@ -959,15 +959,11 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   switch (request.op) {
     case OpKind::kContigRead:
     case OpKind::kContigWrite:
-      co_await handle_contig(request);
-      break;
     case OpKind::kListRead:
     case OpKind::kListWrite:
-      co_await handle_list(request);
-      break;
     case OpKind::kDatatypeRead:
     case OpKind::kDatatypeWrite:
-      co_await handle_datatype(request);
+      co_await handle_data(request);
       break;
     case OpKind::kBatchWrite:
       co_await handle_batch(request);
@@ -975,47 +971,30 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
     case OpKind::kResyncPull:
       co_await handle_resync_pull(request);
       break;
-    case OpKind::kMetaLock: {
-      const auto& p = std::get<MetaPayload>(request.payload);
-      count_meta_op(request.op);
-      if (p.lock_stripe >= 0) {
-        // Striped byte-range lock: this shard owns stripe p.lock_stripe
-        // (stripe % meta_shards routed the client here). Per-stripe FIFO.
-        if (striped_locks_.acquire(p.handle, p.lock_stripe,
-                                   {request.client_node, request.reply_tag})) {
-          send_reply(request.client_node, request.reply_tag, Reply{}, 0);
-        } else {
-          ++stats_.lock_waits;
-          if (obs_meta_lock_waits_ != nullptr) obs_meta_lock_waits_->add(1);
-        }
-      } else if (locked_.insert(p.handle).second) {
-        send_reply(request.client_node, request.reply_tag, Reply{}, 0);
-      } else {
-        // Grant deferred until the current holder unlocks (FIFO).
-        ++stats_.lock_waits;
-        if (obs_meta_lock_waits_ != nullptr) obs_meta_lock_waits_->add(1);
-        lock_waiters_[p.handle].emplace_back(request.client_node,
-                                             request.reply_tag);
-      }
-      break;
-    }
+    case OpKind::kMetaLock:
     case OpKind::kMetaUnlock: {
       const auto& p = std::get<MetaPayload>(request.payload);
       count_meta_op(request.op);
-      if (p.lock_stripe >= 0) {
-        // Releasing a stripe invalidated by a crash is a safe no-op.
-        if (auto next = striped_locks_.release(p.handle, p.lock_stripe)) {
-          send_reply(next->client_node, next->reply_tag, Reply{}, 0);
-        }
-      } else {
-        auto waiters = lock_waiters_.find(p.handle);
-        if (waiters != lock_waiters_.end() && !waiters->second.empty()) {
-          const auto [node, tag] = waiters->second.front();
-          waiters->second.pop_front();
-          send_reply(node, tag, Reply{}, 0);  // ownership transfers
+      // Striped byte-range locks (lock_stripe >= 0; this shard owns the
+      // stripe) are process state; whole-file locks (stripe -1) are
+      // durable. Both grant per-key FIFO.
+      meta::LockTable& table =
+          p.lock_stripe >= 0 ? striped_locks_ : file_locks_;
+      if (request.op == OpKind::kMetaLock) {
+        if (table.acquire(p.handle, p.lock_stripe,
+                          {request.client_node, request.reply_tag})) {
+          send_reply(request.client_node, request.reply_tag, Reply{}, 0);
         } else {
-          locked_.erase(p.handle);
+          // Grant deferred until the current holder unlocks.
+          ++stats_.lock_waits;
+          if (obs_meta_lock_waits_ != nullptr) obs_meta_lock_waits_->add(1);
         }
+        break;
+      }
+      // Ownership transfers to the next parked waiter, if any. Releasing a
+      // stripe invalidated by a crash is a safe no-op.
+      if (auto next = table.release(p.handle, p.lock_stripe)) {
+        send_reply(next->client_node, next->reply_tag, Reply{}, 0);
       }
       send_reply(request.client_node, request.reply_tag, Reply{}, 0);
       break;
@@ -1032,9 +1011,16 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
 }
 
-sim::Task<void> IOServer::handle_contig(Request& request) {
-  const auto& p = std::get<ContigPayload>(request.payload);
-  const bool is_write = request.op == OpKind::kContigWrite;
+sim::Task<void> IOServer::handle_data(Request& request) {
+  // A datatype request's dataloop is decoded and its stream window checked
+  // before the request touches any state; a bad one is rejected here.
+  dl::DataloopPtr loop;
+  if (std::holds_alternative<DatatypePayload>(request.payload)) {
+    loop = co_await load_dataloop(request);
+    if (!loop) co_return;
+  }
+  const bool is_write = is_data_write(request.op);
+  const net::ServerConfig& sc = config_->server;
   // Replica traffic (replica_of >= 0) acts AS the primary for clipping and
   // routes bytes to the (handle, primary) replica bstream, bypassing the
   // buffer cache: replica copies are the crash-durability backstop, so
@@ -1054,7 +1040,7 @@ sim::Task<void> IOServer::handle_contig(Request& request) {
                   target,
                   is_write,
                   request.carry_data,
-                  p.data,
+                  *payload_data(request),
                   (!is_write && request.carry_data)
                       ? std::make_shared<std::vector<std::uint8_t>>()
                       : nullptr,
@@ -1063,93 +1049,152 @@ sim::Task<void> IOServer::handle_contig(Request& request) {
                   request.handle,
                   (is_write && config_->replication > 1) ? &applied : nullptr,
                   (!is_write && media_verify_) ? &visited : nullptr};
-  if (applier.reply_data) {
-    applier.reply_data->reserve(
-        static_cast<std::size_t>(layout.max_server_bytes(p.length)));
+
+  // Lowering, the only method-dependent step: every method ends as
+  // offset-length accesses to this server's strips. Contig and list apply
+  // the regions they carry; datatype expands its dataloop here.
+  SimTime per_region = is_write ? sc.per_region_cost_write : sc.per_region_cost;
+  std::int64_t skipped = 0;
+  if (const auto* c = std::get_if<ContigPayload>(&request.payload)) {
+    applier.reserve(c->length);
+    applier.apply(Region{c->offset, c->length});
+  } else if (const auto* l = std::get_if<ListPayload>(&request.payload)) {
+    std::int64_t window = 0;
+    for (const Region& r : l->regions) window += r.length;
+    applier.reserve(window);
+    for (const Region& r : l->regions) applier.apply(r);
+  } else {
+    const auto& p = std::get<DatatypePayload>(request.payload);
+    applier.reserve(p.stream_length);
+    // The sink feeds regions straight into job/access application —
+    // partial processing keeps intermediate storage bounded (here: zero).
+    // With pruned expansion (default), a span filter makes the cursor skip
+    // whole subtrees whose file span misses this server's strips, so the
+    // walk is proportional to this server's data, not the full access; the
+    // Applier's own clipping remains as the correctness backstop. The
+    // stream limit bounds the window either way (pruned bytes never reach
+    // process()'s byte budget).
+    dl::Cursor cursor(loop, p.displacement, p.count);
+    cursor.seek(p.stream_offset);
+    cursor.set_stream_limit(p.stream_offset + p.stream_length);
+    struct PruneCtx {
+      const FileLayout* layout;
+      int server;
+    };
+    PruneCtx prune_ctx{&layout, acting};
+    if (sc.pruned_expansion) {
+      cursor.set_filter(
+          [](const void* ctx, std::int64_t lo, std::int64_t hi) {
+            const auto* c = static_cast<const PruneCtx*>(ctx);
+            return c->layout->intersects_server(Region{lo, hi - lo},
+                                                c->server);
+          },
+          &prune_ctx);
+    }
+    cursor.process(std::numeric_limits<std::int64_t>::max(),
+                   std::numeric_limits<std::int64_t>::max(),
+                   [&](std::int64_t off, std::int64_t len) {
+                     applier.apply(Region{off, len});
+                   });
+    skipped = cursor.subtrees_skipped();
+    stats_.subtrees_skipped += static_cast<std::uint64_t>(skipped);
+    stats_.pieces_pruned += static_cast<std::uint64_t>(cursor.regions_pruned());
+    if (obs_ != nullptr && skipped > 0) {
+      obs_subtrees_skipped_->add(static_cast<std::uint64_t>(skipped));
+      obs_pieces_pruned_->add(
+          static_cast<std::uint64_t>(cursor.regions_pruned()));
+    }
+    per_region = is_write ? sc.per_dataloop_region_cost_write
+                          : sc.per_dataloop_region_cost;
   }
-  applier.apply(Region{p.offset, p.length});
+
   for (const Region& reg : applied) {
     note_strip_writes(request.handle, acting, reg.offset, reg.length);
   }
-
-  stats_.regions_walked += static_cast<std::uint64_t>(applier.pieces);
-  stats_.my_pieces += static_cast<std::uint64_t>(applier.my_pieces);
-  co_await charge_regions(applier.pieces,
-                          is_write ? config_->server.per_region_cost_write
-                                   : config_->server.per_region_cost);
-  if (cache != nullptr) {
-    cache->maybe_background_flush(plan);
-    co_await charge_cache_plan(std::move(plan));
-  } else {
-    co_await charge_disk(applier.my_bytes);
-  }
+  co_await charge_data(applier.pieces, applier.my_pieces, per_region, skipped,
+                       cache, std::move(plan), applier.my_bytes);
   if (!is_write && !visited.empty()) {
     if (!co_await verify_read_media(request, acting, target, visited,
                                     applier.reply_data)) {
       co_return;
     }
   }
-  finish_data_reply(request, is_write, applier.my_bytes,
-                    std::move(applier.reply_data));
+  Reply reply;
+  reply.bytes = applier.my_bytes;
+  reply.data = std::move(applier.reply_data);
+  finish_data_reply(request, applier.my_bytes, std::move(reply));
 }
 
-sim::Task<void> IOServer::handle_list(Request& request) {
-  const auto& p = std::get<ListPayload>(request.payload);
-  const bool is_write = request.op == OpKind::kListWrite;
-  const bool replica = request.replica_of >= 0;
-  const int acting = replica ? request.replica_of : server_index_;
-  cache::BlockCache* cache = replica ? nullptr : cache_.get();
-  Bstream& target = replica
-                        ? replica_bstream(request.handle, request.replica_of)
-                        : primary_bstream(request.handle);
-  std::vector<Region> applied;
-  std::vector<Region> visited;
-  cache::AccessPlan plan;
-  const FileLayout layout = request_layout(request);
-  Applier applier{layout,
-                  acting,
-                  target,
-                  is_write,
-                  request.carry_data,
-                  p.data,
-                  (!is_write && request.carry_data)
-                      ? std::make_shared<std::vector<std::uint8_t>>()
-                      : nullptr,
-                  cache,
-                  &plan,
-                  request.handle,
-                  (is_write && config_->replication > 1) ? &applied : nullptr,
-                  (!is_write && media_verify_) ? &visited : nullptr};
-  if (applier.reply_data) {
-    std::int64_t window = 0;
-    for (const Region& r : p.regions) window += r.length;
-    applier.reply_data->reserve(
-        static_cast<std::size_t>(layout.max_server_bytes(window)));
-  }
-  for (const Region& r : p.regions) applier.apply(r);
-  for (const Region& reg : applied) {
-    note_strip_writes(request.handle, acting, reg.offset, reg.length);
+sim::Task<dl::DataloopPtr> IOServer::load_dataloop(Request& request) {
+  const auto& p = std::get<DatatypePayload>(request.payload);
+  auto reject = [&](std::string why) {
+    ++stats_.bad_requests;
+    Reply reply;
+    reply.ok = false;
+    reply.code = StatusCode::kInvalidArgument;
+    reply.error = std::move(why);
+    send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
+  };
+  if (!p.encoded_loop) {
+    reject("datatype request without a dataloop");
+    co_return nullptr;
   }
 
-  stats_.regions_walked += static_cast<std::uint64_t>(applier.pieces);
-  stats_.my_pieces += static_cast<std::uint64_t>(applier.my_pieces);
-  co_await charge_regions(applier.pieces,
-                          is_write ? config_->server.per_region_cost_write
-                                   : config_->server.per_region_cost);
-  if (cache != nullptr) {
-    cache->maybe_background_flush(plan);
-    co_await charge_cache_plan(std::move(plan));
-  } else {
-    co_await charge_disk(applier.my_bytes);
-  }
-  if (!is_write && !visited.empty()) {
-    if (!co_await verify_read_media(request, acting, target, visited,
-                                    applier.reply_data)) {
-      co_return;
+  // Obtain the dataloop: from the datatype cache when enabled (the paper's
+  // S5 future-work optimisation) or by decoding the shipped bytes — the
+  // only descriptor cost datatype I/O pays per request.
+  dl::DataloopPtr loop;
+  std::uint64_t cache_key = 0;
+  if (config_->server.dataloop_cache) {
+    cache_key = fnv1a(*p.encoded_loop);
+    const auto it = loop_cache_.find(cache_key);
+    if (it != loop_cache_.end()) {
+      loop = it->second.loop;
+      // LRU touch: move to the back of the recency list.
+      loop_cache_order_.splice(loop_cache_order_.end(), loop_cache_order_,
+                               it->second.pos);
+      ++stats_.dataloop_cache_hits;
+      if (obs_ != nullptr) obs_dl_cache_hits_->add(1);
     }
   }
-  finish_data_reply(request, is_write, applier.my_bytes,
-                    std::move(applier.reply_data));
+  if (!loop) {
+    try {
+      loop = dl::decode(*p.encoded_loop);
+    } catch (const std::invalid_argument& e) {
+      reject(std::string("malformed dataloop: ") + e.what());
+      co_return nullptr;
+    }
+    ++stats_.dataloops_decoded;
+    if (config_->server.dataloop_cache && obs_ != nullptr) {
+      obs_dl_cache_misses_->add(1);
+    }
+    obs::SpanId decode_span = 0;
+    if (obs_ != nullptr) {
+      decode_span = obs_->spans.begin("dataloop_decode", server_index_,
+                                      sched_->now(), req_span_, req_trace_,
+                                      obs::Phase::kServerDecode);
+      obs_->spans.set_value(decode_span, p.loop_node_count);
+    }
+    co_await sched_->delay(
+        scaled(config_->server.dataloop_decode_cost_per_node *
+               p.loop_node_count));
+    if (obs_ != nullptr) obs_->spans.end(decode_span, sched_->now());
+    if (config_->server.dataloop_cache) {
+      loop_cache_order_.push_back(cache_key);
+      loop_cache_.emplace(cache_key,
+                          CachedLoop{loop, std::prev(loop_cache_order_.end())});
+      if (loop_cache_order_.size() > config_->server.dataloop_cache_entries) {
+        loop_cache_.erase(loop_cache_order_.front());
+        loop_cache_order_.pop_front();
+      }
+    }
+  }
+  if (p.count < 0 || p.stream_offset < 0 || p.stream_length < 0 ||
+      p.stream_offset + p.stream_length > p.count * loop->size) {
+    reject("datatype request stream window out of range");
+    co_return nullptr;
+  }
+  co_return loop;
 }
 
 sim::Task<void> IOServer::handle_batch(Request& request) {
@@ -1159,9 +1204,10 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
   stats_.batch_sub_ops += static_cast<std::uint64_t>(n);
   // Replica envelopes carry the primary's pre-clipped physical sub-ops
   // verbatim; they land in the (handle, primary) replica bstream, cache
-  // bypassed (write-through — see handle_contig).
+  // bypassed (write-through — see handle_data).
   const bool replica = request.replica_of >= 0;
   const int acting = replica ? request.replica_of : server_index_;
+  cache::BlockCache* cache = replica ? nullptr : cache_.get();
 
   // The envelope itself is unsequenced (op_seq 0, so it skipped the
   // top-level replay check); each sub-op carries its own replay identity.
@@ -1199,25 +1245,11 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
       crc_fail = true;
       continue;
     }
-    if (!replica && cache_ != nullptr) {
-      cache_->write(sub.handle, sub.offset, sub.length,
-                    (request.carry_data && sub.data)
-                        ? std::span<const std::uint8_t>(sub.data->data(),
-                                                        sub.data->size())
-                        : std::span<const std::uint8_t>{},
-                    plan);
-    } else {
-      Bstream& bstream =
-          replica ? replica_bstream(sub.handle, request.replica_of)
-                  : primary_bstream(sub.handle);
-      if (request.carry_data && sub.data) {
-        bstream.write(sub.offset,
-                      std::span<const std::uint8_t>(sub.data->data(),
-                                                    sub.data->size()));
-      } else {
-        bstream.note_write(sub.offset, sub.length);
-      }
-    }
+    write_run(cache, plan,
+              replica ? replica_bstream(sub.handle, request.replica_of)
+                      : primary_bstream(sub.handle),
+              sub.handle, Region{sub.offset, sub.length},
+              (request.carry_data && sub.data) ? sub.data->data() : nullptr);
     note_strip_writes(sub.handle, acting, sub.offset, sub.length);
     reply.sub_acked[i] = 1;
     ++applied_subs;
@@ -1225,19 +1257,12 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
     acked_bytes += sub.length;
   }
 
-  stats_.regions_walked += static_cast<std::uint64_t>(applied_subs);
-  stats_.my_pieces += static_cast<std::uint64_t>(applied_subs);
-  stats_.bytes_written += static_cast<std::uint64_t>(applied_bytes);
-  co_await charge_regions(applied_subs, config_->server.per_region_cost_write);
-  if (!replica && cache_ != nullptr) {
-    cache_->maybe_background_flush(plan);
-    co_await charge_cache_plan(std::move(plan));
-  } else {
-    co_await charge_disk(applied_bytes);
-  }
+  co_await charge_data(applied_subs, applied_subs,
+                       config_->server.per_region_cost_write, 0, cache,
+                       std::move(plan), applied_bytes);
 
-  // Per-sub-op acks land AFTER the charges, mirroring finish_data_reply:
-  // a crash during the disk charge must not leave acks for lost work.
+  // Per-sub-op acks land AFTER the charges, like finish_data_reply's: a
+  // crash during the disk charge must not leave acks for lost work.
   for (std::size_t i = 0; i < n; ++i) {
     const BatchSubOp& sub = p.sub_ops[i];
     if (reply.sub_acked[i] == 0 || sub.op_seq == 0) continue;
@@ -1252,202 +1277,44 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
     reply.code = StatusCode::kDataLoss;
     reply.error = "batch sub-op payload CRC mismatch";
   }
-  maybe_arm_scrubber();
-  send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
+  // The envelope is unsequenced, so no envelope-level ack is stored.
+  finish_data_reply(request, applied_bytes, std::move(reply));
 }
 
-namespace {
-
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
-sim::Task<void> IOServer::handle_datatype(Request& request) {
-  const auto& p = std::get<DatatypePayload>(request.payload);
-  const bool is_write = request.op == OpKind::kDatatypeWrite;
-
-  auto reject = [&](std::string why) {
-    ++stats_.bad_requests;
-    Reply reply;
-    reply.ok = false;
-    reply.code = StatusCode::kInvalidArgument;
-    reply.error = std::move(why);
-    send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
-  };
-  if (!p.encoded_loop) {
-    reject("datatype request without a dataloop");
-    co_return;
-  }
-
-  // Obtain the dataloop: from the datatype cache when enabled (the paper's
-  // S5 future-work optimisation) or by decoding the shipped bytes — the
-  // only descriptor cost datatype I/O pays per request.
-  dl::DataloopPtr loop;
-  std::uint64_t cache_key = 0;
-  if (config_->server.dataloop_cache) {
-    cache_key = fnv1a(*p.encoded_loop);
-    const auto it = loop_cache_.find(cache_key);
-    if (it != loop_cache_.end()) {
-      loop = it->second.loop;
-      // LRU touch: move to the back of the recency list.
-      loop_cache_order_.splice(loop_cache_order_.end(), loop_cache_order_,
-                               it->second.pos);
-      ++stats_.dataloop_cache_hits;
-      if (obs_ != nullptr) obs_dl_cache_hits_->add(1);
-    }
-  }
-  if (!loop) {
-    try {
-      loop = dl::decode(*p.encoded_loop);
-    } catch (const std::invalid_argument& e) {
-      reject(std::string("malformed dataloop: ") + e.what());
-      co_return;
-    }
-    ++stats_.dataloops_decoded;
-    if (config_->server.dataloop_cache && obs_ != nullptr) {
-      obs_dl_cache_misses_->add(1);
-    }
-    obs::SpanId decode_span = 0;
-    if (obs_ != nullptr) {
-      decode_span = obs_->spans.begin("dataloop_decode", server_index_,
-                                      sched_->now(), req_span_, req_trace_,
-                                      obs::Phase::kServerDecode);
-      obs_->spans.set_value(decode_span, p.loop_node_count);
-    }
-    co_await sched_->delay(scaled(config_->server.dataloop_decode_cost_per_node *
-                                  p.loop_node_count));
-    if (obs_ != nullptr) obs_->spans.end(decode_span, sched_->now());
-    if (config_->server.dataloop_cache) {
-      loop_cache_order_.push_back(cache_key);
-      loop_cache_.emplace(cache_key,
-                          CachedLoop{loop, std::prev(loop_cache_order_.end())});
-      if (loop_cache_order_.size() > config_->server.dataloop_cache_entries) {
-        loop_cache_.erase(loop_cache_order_.front());
-        loop_cache_order_.pop_front();
-      }
-    }
-  }
-  if (p.count < 0 || p.stream_offset < 0 || p.stream_length < 0 ||
-      p.stream_offset + p.stream_length > p.count * loop->size) {
-    reject("datatype request stream window out of range");
-    co_return;
-  }
-
-  const bool replica = request.replica_of >= 0;
-  const int acting = replica ? request.replica_of : server_index_;
-  cache::BlockCache* cache = replica ? nullptr : cache_.get();
-  Bstream& target = replica
-                        ? replica_bstream(request.handle, request.replica_of)
-                        : primary_bstream(request.handle);
-  std::vector<Region> applied;
-  std::vector<Region> visited;
-  cache::AccessPlan plan;
-  const FileLayout layout = request_layout(request);
-  Applier applier{layout,
-                  acting,
-                  target,
-                  is_write,
-                  request.carry_data,
-                  p.data,
-                  (!is_write && request.carry_data)
-                      ? std::make_shared<std::vector<std::uint8_t>>()
-                      : nullptr,
-                  cache,
-                  &plan,
-                  request.handle,
-                  (is_write && config_->replication > 1) ? &applied : nullptr,
-                  (!is_write && media_verify_) ? &visited : nullptr};
-  if (applier.reply_data) {
-    // One allocation up front instead of per-piece regrowth: the stream
-    // window bounds this server's share of the reply.
-    applier.reply_data->reserve(static_cast<std::size_t>(
-        layout.max_server_bytes(p.stream_length)));
-  }
-
-  // Expand the dataloop over the requested stream window. The sink feeds
-  // regions straight into job/access application — partial processing
-  // keeps intermediate storage bounded (here: zero). With pruned
-  // expansion (default), a span filter makes the cursor skip whole
-  // subtrees whose file span misses this server's strips, so the walk is
-  // proportional to this server's data, not the full access; the
-  // Applier's own clipping remains as the correctness backstop. The
-  // stream limit bounds the window either way (pruned bytes never reach
-  // process()'s byte budget).
-  dl::Cursor cursor(loop, p.displacement, p.count);
-  cursor.seek(p.stream_offset);
-  cursor.set_stream_limit(p.stream_offset + p.stream_length);
-  struct PruneCtx {
-    const FileLayout* layout;
-    int server;
-  };
-  PruneCtx prune_ctx{&layout, acting};
-  if (config_->server.pruned_expansion) {
-    cursor.set_filter(
-        [](const void* ctx, std::int64_t lo, std::int64_t hi) {
-          const auto* c = static_cast<const PruneCtx*>(ctx);
-          return c->layout->intersects_server(Region{lo, hi - lo}, c->server);
-        },
-        &prune_ctx);
-  }
-  cursor.process(std::numeric_limits<std::int64_t>::max(),
-                 std::numeric_limits<std::int64_t>::max(),
-                 [&](std::int64_t off, std::int64_t len) {
-                   applier.apply(Region{off, len});
-                 });
-  for (const Region& reg : applied) {
-    note_strip_writes(request.handle, acting, reg.offset, reg.length);
-  }
-
-  const std::int64_t skipped = cursor.subtrees_skipped();
-  stats_.regions_walked += static_cast<std::uint64_t>(applier.pieces);
-  stats_.my_pieces += static_cast<std::uint64_t>(applier.my_pieces);
-  stats_.subtrees_skipped += static_cast<std::uint64_t>(skipped);
-  stats_.pieces_pruned += static_cast<std::uint64_t>(cursor.regions_pruned());
-  if (obs_ != nullptr && skipped > 0) {
-    obs_subtrees_skipped_->add(static_cast<std::uint64_t>(skipped));
-    obs_pieces_pruned_->add(
-        static_cast<std::uint64_t>(cursor.regions_pruned()));
-  }
-  co_await charge_regions(
-      applier.pieces, is_write ? config_->server.per_dataloop_region_cost_write
-                               : config_->server.per_dataloop_region_cost);
-  if (skipped > 0) {
+sim::Task<void> IOServer::charge_data(std::int64_t pieces,
+                                      std::int64_t my_pieces,
+                                      SimTime per_region,
+                                      std::int64_t subtrees_skipped,
+                                      cache::BlockCache* cache,
+                                      cache::AccessPlan plan,
+                                      std::int64_t my_bytes) {
+  stats_.regions_walked += static_cast<std::uint64_t>(pieces);
+  stats_.my_pieces += static_cast<std::uint64_t>(my_pieces);
+  co_await charge_regions(pieces, per_region);
+  if (subtrees_skipped > 0) {
     // Each pruned subtree still costs one span/stripe intersection probe.
-    co_await cpu_.use(scaled(config_->server.subtree_probe_cost * skipped));
+    co_await cpu_.use(
+        scaled(config_->server.subtree_probe_cost * subtrees_skipped));
   }
+  co_await charge_storage(cache, std::move(plan),
+                          cache != nullptr ? 0 : my_bytes);
+}
+
+sim::Task<void> IOServer::charge_storage(cache::BlockCache* cache,
+                                         cache::AccessPlan plan,
+                                         std::int64_t direct_bytes) {
   if (cache != nullptr) {
     cache->maybe_background_flush(plan);
     co_await charge_cache_plan(std::move(plan));
-  } else {
-    co_await charge_disk(applier.my_bytes);
   }
-  if (!is_write && !visited.empty()) {
-    if (!co_await verify_read_media(request, acting, target, visited,
-                                    applier.reply_data)) {
-      co_return;
-    }
-  }
-  finish_data_reply(request, is_write, applier.my_bytes,
-                    std::move(applier.reply_data));
+  co_await charge_disk(direct_bytes);
 }
 
-void IOServer::finish_data_reply(Request& request, bool is_write,
-                                 std::int64_t my_bytes, DataBuffer reply_data) {
-  if (is_write) {
-    stats_.bytes_written += static_cast<std::uint64_t>(my_bytes);
-  } else {
-    stats_.bytes_read += static_cast<std::uint64_t>(my_bytes);
-  }
-  Reply reply;
-  reply.bytes = my_bytes;
-  reply.data = std::move(reply_data);
+void IOServer::finish_data_reply(Request& request, std::int64_t my_bytes,
+                                 Reply reply) {
+  const bool is_write = is_data_write(request.op);
+  (is_write ? stats_.bytes_written : stats_.bytes_read) +=
+      static_cast<std::uint64_t>(my_bytes);
   if (!is_write && reply.data) {
     // Host-side only (zero simulated cost): lets the client detect
     // read-reply data corrupted in flight.
@@ -1723,8 +1590,7 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
   std::uint64_t repaired = 0;
   for (const int peer : peers) {
     if (remaining.empty()) break;
-    const int attempts = std::max(1, config_->server.resync_pull_attempts);
-    for (int attempt = 0; attempt < attempts; ++attempt) {
+    for (int attempt = 0; attempt < kResyncPullAttempts; ++attempt) {
       Request req;
       req.op = OpKind::kResyncPull;
       req.client_node = server_index_;
@@ -1749,7 +1615,7 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
           sim::Message(server_index_, kTagRequest, wire, std::move(req)));
       if (crashed_ || epoch_ != my_epoch) co_return repaired;
       auto maybe = co_await network_->mailbox(server_index_).recv_for(
-          peer, tag, config_->server.resync_pull_timeout);
+          peer, tag, kResyncPullTimeout);
       if (crashed_ || epoch_ != my_epoch) co_return repaired;
       if (!maybe.has_value()) continue;  // pull timed out; retry this peer
       Reply reply = maybe->take<Reply>();
@@ -1801,15 +1667,11 @@ sim::Fire IOServer::scrub_loop() {
   while (true) {
     co_await sched_->delay(config_->server.scrub_interval);
     if (crashed_ || epoch_ != my_epoch) co_return;  // crash() disarmed us
-    const bool at_origin =
-        scrub_segment_ == 0 &&
-        scrub_unit_ == std::pair<std::uint64_t, int>{0, -1} &&
-        scrub_offset_ == 0;
-    if (at_origin && media_.writes_gen == scrub_seen_gen_) break;
+    if (media_.writes_gen == scrub_seen_gen_) break;
     co_await scrub_pass(my_epoch);
     if (crashed_ || epoch_ != my_epoch) co_return;
   }
-  // Quiescent at a cycle boundary: park. The write paths re-arm a fresh
+  // Quiescent: park. The write paths re-arm a fresh
   // loop on the next writes_gen advance — a regular simulation task must
   // not spin on an idle store or the sim would never drain.
   scrub_armed_ = false;
@@ -1818,23 +1680,15 @@ sim::Fire IOServer::scrub_loop() {
 sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
   scrubbing_ = true;
   ++stats_.scrub_passes;
-  const bool at_origin =
-      scrub_segment_ == 0 &&
-      scrub_unit_ == std::pair<std::uint64_t, int>{0, -1} &&
-      scrub_offset_ == 0;
-  if (at_origin) {
-    // Snapshot at cycle start: writes landing while the cycle is in
-    // flight keep writes_gen ahead of the snapshot, forcing another
-    // cycle — those pages may live behind the cursor.
-    scrub_cycle_gen_ = media_.writes_gen;
-  }
-  std::int64_t budget = config_->server.scrub_bytes_per_pass;
-  if (budget <= 0) budget = std::numeric_limits<std::int64_t>::max();
+  // Snapshot at pass start: writes landing while the pass is in flight
+  // keep writes_gen ahead of the snapshot, forcing another pass — those
+  // pages may live behind the walk.
+  const std::uint64_t pass_gen = media_.writes_gen;
 
   // Deterministic walk order: primary handles sorted, then the replica
   // (handle, primary) keys in their (ordered) map order.
   struct Unit {
-    int segment;
+    bool replica;
     std::uint64_t handle;
     int primary;
   };
@@ -1845,28 +1699,19 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
     for (const auto& [h, bs] : store_) handles.push_back(h);
     std::sort(handles.begin(), handles.end());
     for (const std::uint64_t h : handles) {
-      units.push_back(Unit{0, h, server_index_});
+      units.push_back(Unit{false, h, server_index_});
     }
   }
   for (const auto& [key, bs] : replica_store_) {
-    units.push_back(Unit{1, key.first, key.second});
+    units.push_back(Unit{true, key.first, key.second});
   }
 
   const int r = std::min(config_->replication, config_->num_servers);
   for (const Unit& u : units) {
-    const std::pair<std::uint64_t, int> key{
-        u.handle, u.segment == 0 ? -1 : u.primary};
-    if (u.segment < scrub_segment_ ||
-        (u.segment == scrub_segment_ && key < scrub_unit_)) {
-      continue;  // behind the cursor: this cycle already covered it
-    }
-    std::int64_t offset =
-        (u.segment == scrub_segment_ && key == scrub_unit_) ? scrub_offset_
-                                                            : 0;
-    Bstream& bs = u.segment == 0 ? primary_bstream(u.handle)
-                                 : replica_bstream(u.handle, u.primary);
-    const int primary = u.segment == 0 ? server_index_ : u.primary;
+    Bstream& bs = u.replica ? replica_bstream(u.handle, u.primary)
+                            : primary_bstream(u.handle);
     const std::int64_t size = bs.size();
+    std::int64_t offset = 0;
     constexpr std::int64_t kScrubChunk = 16 * Bstream::kPageSize;
     while (offset < size) {
       const std::int64_t len = std::min(kScrubChunk, size - offset);
@@ -1890,7 +1735,7 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
         if (r > 1) {
           const std::size_t wanted = check.strips.size();
           const std::uint64_t repaired =
-              co_await repair_strips(u.handle, primary, check.strips);
+              co_await repair_strips(u.handle, u.primary, check.strips);
           if (crashed_ || epoch_ != my_epoch) {
             scrubbing_ = false;
             co_return;
@@ -1929,24 +1774,10 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
         }
       }
       offset += len;
-      budget -= len;
-      if (budget <= 0 && !(offset >= size && &u == &units.back())) {
-        // Pass budget exhausted mid-walk: park the cursor (possibly at
-        // this unit's end — the next pass skips an empty tail) and let
-        // the next interval continue from here.
-        scrub_segment_ = u.segment;
-        scrub_unit_ = key;
-        scrub_offset_ = offset;
-        scrubbing_ = false;
-        co_return;
-      }
     }
   }
-  // Full cycle complete: everything present at cycle start was verified.
-  scrub_segment_ = 0;
-  scrub_unit_ = {0, -1};
-  scrub_offset_ = 0;
-  scrub_seen_gen_ = scrub_cycle_gen_;
+  // Everything present at pass start was verified.
+  scrub_seen_gen_ = pass_gen;
   scrubbing_ = false;
 }
 

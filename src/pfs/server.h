@@ -92,7 +92,7 @@ struct ServerStats {
   std::uint64_t media_repairs = 0;          ///< strips rewritten from a peer
   std::uint64_t media_repair_failures = 0;  ///< repair attempts no peer served
   std::uint64_t media_data_loss = 0;        ///< reads refused with kDataLoss
-  std::uint64_t scrub_passes = 0;           ///< bounded scrub passes run
+  std::uint64_t scrub_passes = 0;           ///< scrub passes run
   std::uint64_t scrub_blocks = 0;           ///< pages the scrubber verified
   std::uint64_t scrub_repairs = 0;          ///< strips the scrubber repaired
   std::uint64_t scrub_errors = 0;           ///< bad pages it could not repair
@@ -174,12 +174,10 @@ class IOServer {
   }
 
   /// Metadata-queue depth: lock requests currently parked on this shard
-  /// (striped stripes plus legacy whole-file waiters). Feeds the
-  /// meta_qdepth timeline series and benches.
+  /// (striped stripes plus whole-file waiters). Feeds the meta_qdepth
+  /// timeline series and benches.
   [[nodiscard]] std::size_t meta_qdepth() const noexcept {
-    std::size_t n = striped_locks_.parked();
-    for (const auto& [handle, queue] : lock_waiters_) n += queue.size();
-    return n;
+    return striped_locks_.parked() + file_locks_.parked();
   }
 
  private:
@@ -292,20 +290,40 @@ class IOServer {
   /// from the write paths and restart().
   void maybe_arm_scrubber();
   sim::Fire scrub_loop();
-  /// One bounded pass: verify up to scrub_bytes_per_pass bytes from the
-  /// cursor, charging the disk, repairing bad strips from peers.
+  /// One pass over the whole store (primary and replica copies): verify
+  /// every page, charging the disk, repairing bad strips from peers.
   sim::Task<void> scrub_pass(std::uint64_t my_epoch);
 
-  sim::Task<void> handle_contig(Request& request);
-  sim::Task<void> handle_list(Request& request);
+  /// Every contig, list and datatype read or write. Only lowering the
+  /// request to offset-length accesses on this server's strips depends on
+  /// the method; apply, charge, media verify and reply are shared.
+  sim::Task<void> handle_data(Request& request);
+  /// The datatype request's dataloop — from the LRU cache or decoded at
+  /// dataloop_decode_cost_per_node — with its stream window validated.
+  /// Returns nullptr after answering a malformed request with an error.
+  sim::Task<dl::DataloopPtr> load_dataloop(Request& request);
   /// Write-behind flush envelope: many pre-clipped physical sub-writes,
   /// one decode charge, per-sub-op replay/CRC, applied atomically each.
   sim::Task<void> handle_batch(Request& request);
-  sim::Task<void> handle_datatype(Request& request);
   void handle_meta(Request& request, Reply& reply);
 
-  void finish_data_reply(Request& request, bool is_write,
-                         std::int64_t my_bytes, DataBuffer reply_data);
+  /// The reply stage of every data request: count the `my_bytes` this
+  /// server moved, checksum read data, store a write's replay ack, re-arm
+  /// the scrubber and send `reply`.
+  void finish_data_reply(Request& request, std::int64_t my_bytes, Reply reply);
+  /// The charge stage every data request (batch envelopes included) runs
+  /// after lowering: count the walked pieces, charge per-region CPU, one
+  /// probe per pruned dataloop subtree, then the storage work.
+  sim::Task<void> charge_data(std::int64_t pieces, std::int64_t my_pieces,
+                              SimTime per_region,
+                              std::int64_t subtrees_skipped,
+                              cache::BlockCache* cache, cache::AccessPlan plan,
+                              std::int64_t my_bytes);
+  /// Storage charge: the cache plan's disk work when `cache` is on, then
+  /// `direct_bytes` of bstream traffic that bypassed the cache.
+  sim::Task<void> charge_storage(cache::BlockCache* cache,
+                                 cache::AccessPlan plan,
+                                 std::int64_t direct_bytes);
   sim::Task<void> charge_disk(std::int64_t bytes);
   /// Charge the disk work a cached access generated: sync segments (miss
   /// fills, write-through stores) block the handler with the same
@@ -425,13 +443,6 @@ class IOServer {
   /// writes_gen at the last *completed* clean walk of the whole store;
   /// equal to MediaEnv::writes_gen means quiescent — the loop parks.
   std::uint64_t scrub_seen_gen_ = 0;
-  std::uint64_t scrub_cycle_gen_ = 0;  ///< snapshot at cycle start
-  // Scrub cursor, carried across bounded passes: segment 0 walks primary
-  // handles in sorted order, segment 1 the replica (handle, primary) keys
-  // in map order; resumes at the first unit >= scrub_unit_.
-  int scrub_segment_ = 0;
-  std::pair<std::uint64_t, int> scrub_unit_{0, -1};
-  std::int64_t scrub_offset_ = 0;
 
   // Buffer cache (src/cache/), enabled when both ServerConfig block-size
   // and capacity knobs are nonzero. The adapter exposes the bstream map as
@@ -473,7 +484,7 @@ class IOServer {
   double req_degrade_ = 1.0;
 
   // Idempotent-replay window: ack by replay_key(client, op_seq), FIFO
-  // eviction bounded by ServerConfig::replay_window_entries and (when
+  // eviction bounded by kReplayWindowEntries (server.cpp) and (when
   // replay_window_max_age > 0) by simulated age — the deque is in store
   // order, which is time order, so expiry pops from the front. Cleared on
   // crash (the window is process state, not durable).
@@ -506,12 +517,10 @@ class IOServer {
   std::unordered_set<std::uint64_t> live_handles_;
   meta::ShardMap shards_;
 
-  // Whole-file FIFO locks (legacy, lock_stripe == -1): holders and parked
-  // waiters (client node, reply tag) whose grant reply is deferred until
-  // unlock. Models durable lock state and survives a crash.
-  std::unordered_set<std::uint64_t> locked_;
-  std::unordered_map<std::uint64_t,
-                     std::deque<std::pair<int, std::uint64_t>>> lock_waiters_;
+  // Whole-file FIFO locks (lock_stripe == -1, keyed (handle, -1)): models
+  // durable lock state, so holders and parked waiters survive a crash and
+  // crash() never invalidates this table.
+  meta::LockTable file_locks_;
   // Striped byte-range locks (lock_stripe >= 0): process state. crash()
   // invalidates the table and stashes the parked waiters; restart()
   // re-grants them in deterministic order so no client hangs.

@@ -160,7 +160,9 @@ TEST_P(TwoPhaseHoles, SparseCollectiveWritePreservesGapBytes) {
   auto writer = [](mpiio::File& f, Communicator& c, int rank,
                    const std::vector<std::uint8_t>& src,
                    int& finished) -> Task<void> {
-    if (rank != 0) EXPECT_TRUE((co_await f.open("/holes", false)).is_ok());
+    if (rank != 0) {
+      EXPECT_TRUE((co_await f.open("/holes", false)).is_ok());
+    }
     auto piece = types::contiguous(16, types::byte_t());
     auto strided = types::resized(piece, 0, 128);
     f.set_view(rank * 64, types::byte_t(), strided);

@@ -218,7 +218,7 @@ TEST(FileLayoutNarrow, SlotMappingRoundTrips) {
 
 TEST(FileLayoutNarrow, PlaceAndLogicalAreInverse) {
   const pfs::FileLayout lay(3, kKiB, 5, 8);
-  for (std::int64_t off = 0; off < 16 * kKiB; off += 317) {
+  for (std::int64_t off = 0; off < std::int64_t{16 * kKiB}; off += 317) {
     const pfs::FileLayout::Placement p = lay.place(off);
     EXPECT_GE(lay.slot_of_server(p.server), 0) << "byte landed off-stripe";
     EXPECT_EQ(lay.logical(p.server, p.physical), off);
@@ -481,6 +481,63 @@ TEST(StripedLocks, CrashInvalidatesAndRegrantsWaiters) {
   cluster.run();
   EXPECT_EQ(done, 2);
   EXPECT_GE(cluster.server(0).stats().lock_regrants, 1u);
+}
+
+TEST(WholeFileLocks, HeldAcrossOwningShardCrash) {
+  net::ClusterConfig cfg;
+  cfg.num_servers = 2;
+  cfg.num_clients = 2;
+  cfg.file_locking = true;
+  pfs::Cluster cluster(cfg);
+  auto holder = cluster.make_client(0);
+  auto waiter = cluster.make_client(1);
+
+  std::uint64_t h = 0;
+  cluster.scheduler().spawn([](pfs::Client& c, std::uint64_t& out)
+                                -> Task<void> {
+    out = (co_await c.create("/durable")).handle;
+  }(*holder, h));
+  cluster.run();
+
+  // Whole-file locks are durable: server 0 (the only shard) crashes and
+  // restarts while the holder sits on the lock and the waiter is parked.
+  // The lock must stay held and the waiter must be granted only by the
+  // holder's unlock, not by the restart.
+  const SimTime t0 = cluster.scheduler().now();
+  SimTime released_at = -1;
+  SimTime granted_at = -1;
+  cluster.scheduler().spawn(
+      [](pfs::Client& c, sim::Scheduler& sched, std::uint64_t handle,
+         SimTime& released) -> Task<void> {
+        EXPECT_TRUE((co_await c.lock(handle)).is_ok());
+        co_await sched.delay(50 * kMillisecond);
+        released = sched.now();
+        EXPECT_TRUE((co_await c.unlock(handle)).is_ok());
+      }(*holder, cluster.scheduler(), h, released_at));
+  cluster.scheduler().spawn(
+      [](pfs::Client& c, sim::Scheduler& sched, std::uint64_t handle,
+         SimTime& granted) -> Task<void> {
+        co_await sched.delay(kMillisecond);
+        EXPECT_TRUE((co_await c.lock(handle)).is_ok());
+        granted = sched.now();
+        EXPECT_TRUE((co_await c.unlock(handle)).is_ok());
+      }(*waiter, cluster.scheduler(), h, granted_at));
+  cluster.schedule_server_crash(/*index=*/0, /*at=*/t0 + 10 * kMillisecond,
+                                /*restart_delay=*/5 * kMillisecond);
+  std::size_t parked_after_restart = 0;
+  cluster.scheduler().schedule_call(t0 + 20 * kMillisecond, [&] {
+    parked_after_restart = cluster.server(0).meta_qdepth();
+  });
+  cluster.run();
+
+  EXPECT_EQ(cluster.server(0).stats().crashes, 1u);
+  EXPECT_EQ(parked_after_restart, 1u) << "the parked waiter was dropped";
+  ASSERT_GE(released_at, 0);
+  ASSERT_GE(granted_at, 0) << "the waiter was never granted";
+  EXPECT_GE(granted_at, released_at)
+      << "the waiter was granted before the holder unlocked";
+  EXPECT_EQ(cluster.server(0).stats().lock_regrants, 0u);
+  EXPECT_EQ(cluster.server(0).meta_qdepth(), 0u);
 }
 
 // ---- End-to-end: per-file layouts ------------------------------------------

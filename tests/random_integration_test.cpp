@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -88,6 +89,37 @@ Scenario random_scenario(Rng& rng) {
   return s;
 }
 
+constexpr Method kReadMethods[] = {Method::kPosix, Method::kDataSieving,
+                                   Method::kList, Method::kDatatype};
+constexpr Method kWriteMethods[] = {Method::kPosix, Method::kList,
+                                    Method::kDatatype};
+
+/// Expected file bytes of the scenario's write, computed with the joint
+/// walker alone — independent of every access method under test.
+std::map<std::int64_t, std::uint8_t> oracle_image(
+    const Scenario& sc, const std::vector<std::uint8_t>& mem_image) {
+  std::map<std::int64_t, std::uint8_t> expected_file;
+  const std::int64_t total = sc.mem_count * sc.memtype.size();
+  io::FileView view{sc.displacement, types::byte_t(), sc.filetype};
+  const io::StreamWindow window =
+      io::make_window(view, sc.offset_etypes, total);
+  io::JointWalker walker(io::make_mem_cursor(sc.memtype, sc.mem_count),
+                         io::make_file_cursor(view, window));
+  io::JointWalker::Piece piece;
+  while (walker.next(piece)) {
+    for (std::int64_t i = 0; i < piece.length; ++i) {
+      expected_file[piece.file_offset + i] =
+          mem_image[static_cast<std::size_t>(piece.mem_offset + i)];
+    }
+  }
+  return expected_file;
+}
+
+/// One past the last byte of the oracle image.
+std::int64_t image_end(const std::map<std::int64_t, std::uint8_t>& image) {
+  return image.empty() ? 0 : image.rbegin()->first + 1;
+}
+
 class RandomIntegration : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomIntegration, AllMethodsAgreeWithOracle) {
@@ -100,24 +132,10 @@ TEST_P(RandomIntegration, AllMethodsAgreeWithOracle) {
   std::vector<std::uint8_t> mem_image(static_cast<std::size_t>(mem_span));
   for (auto& b : mem_image) b = static_cast<std::uint8_t>(rng.next());
 
-  // Oracle: expected file bytes, computed with the joint walker alone.
-  std::map<std::int64_t, std::uint8_t> expected_file;
-  {
-    io::FileView view{sc.displacement, types::byte_t(), sc.filetype};
-    const io::StreamWindow window =
-        io::make_window(view, sc.offset_etypes, total);
-    io::JointWalker walker(io::make_mem_cursor(sc.memtype, sc.mem_count),
-                           io::make_file_cursor(view, window));
-    io::JointWalker::Piece piece;
-    while (walker.next(piece)) {
-      for (std::int64_t i = 0; i < piece.length; ++i) {
-        expected_file[piece.file_offset + i] =
-            mem_image[static_cast<std::size_t>(piece.mem_offset + i)];
-      }
-    }
-    ASSERT_EQ(static_cast<std::int64_t>(expected_file.size()), total)
-        << "oracle: file regions must be disjoint";
-  }
+  const std::map<std::int64_t, std::uint8_t> expected_file =
+      oracle_image(sc, mem_image);
+  ASSERT_EQ(static_cast<std::int64_t>(expected_file.size()), total)
+      << "oracle: file regions must be disjoint";
 
   // One cluster; write once with a random method, read back with all.
   net::ClusterConfig cfg;
@@ -129,10 +147,7 @@ TEST_P(RandomIntegration, AllMethodsAgreeWithOracle) {
   io::Context ctx{cluster.scheduler(), *client, cluster.config()};
   mpiio::File file(ctx);
 
-  const Method write_methods[] = {Method::kPosix, Method::kList,
-                                  Method::kDatatype};
-  const Method write_method =
-      write_methods[rng.next_below(3)];
+  const Method write_method = kWriteMethods[rng.next_below(3)];
 
   bool wrote = false;
   cluster.scheduler().spawn(
@@ -151,11 +166,8 @@ TEST_P(RandomIntegration, AllMethodsAgreeWithOracle) {
 
   // Verify raw file contents against the oracle.
   {
-    std::int64_t file_end = 0;
-    for (const auto& [off, byte] : expected_file) {
-      file_end = std::max(file_end, off + 1);
-    }
-    std::vector<std::uint8_t> raw(static_cast<std::size_t>(file_end), 0);
+    std::vector<std::uint8_t> raw(
+        static_cast<std::size_t>(image_end(expected_file)), 0);
     bool read_ok = false;
     cluster.scheduler().spawn(
         [](mpiio::File& f, std::vector<std::uint8_t>& out,
@@ -178,9 +190,7 @@ TEST_P(RandomIntegration, AllMethodsAgreeWithOracle) {
 
   // Read back through the view with every method; compare the typed
   // memory bytes.
-  for (const Method read_method :
-       {Method::kPosix, Method::kDataSieving, Method::kList,
-        Method::kDatatype}) {
+  for (const Method read_method : kReadMethods) {
     std::vector<std::uint8_t> back(mem_image.size(), 0);
     bool read_ok = false;
     cluster.scheduler().spawn(
@@ -293,49 +303,64 @@ TEST_P(PrunedEquivalence, DatatypeIOIsUnchangedByPruning) {
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, PrunedEquivalence, ::testing::Range(0, 15));
 
-// ---- Buffer-cache equivalence ----------------------------------------------
+// ---- Scenario runner --------------------------------------------------------
 //
-// The server buffer cache is a timing optimisation: with it on (write-back
-// or write-through, tiny capacity so eviction/flush paths fire constantly)
-// or off, the same workload must leave byte-identical file contents and
-// every read method must return byte-identical data. Write with a random
-// method, read back with ALL methods, then settle write-back dirt and
-// compare the raw file image across all three configurations and against
-// the oracle.
+// One write-then-read-back pass over a cluster built from a given config,
+// shared by the cache, write-behind and cross-feature properties below.
 
-struct CacheRun {
-  std::vector<std::uint8_t> raw;  ///< whole-file bytes after settle
-  std::vector<std::vector<std::uint8_t>> backs;  ///< per read method
-  bool ok = true;
-};
-
-CacheRun run_cached_scenario(const Scenario& sc,
-                             const std::vector<std::uint8_t>& mem_image,
-                             Method write_method, std::int64_t file_end,
-                             int cache_mode /*0=off 1=write-back 2=through*/) {
+/// The small cluster every scenario property runs on: three servers with
+/// tiny strips so accesses split constantly, one client.
+net::ClusterConfig scenario_config() {
   net::ClusterConfig cfg;
   cfg.num_servers = 3;
   cfg.num_clients = 1;
   cfg.strip_size = 256;
-  if (cache_mode != 0) {
-    // Tiny cache (8 blocks of 512) so the scenario's working set overflows
-    // it: evictions, dirty flushes, and readahead all fire mid-run.
-    cfg.server.cache_block_bytes = 512;
-    cfg.server.cache_capacity_bytes = 8 * 512;
-    cfg.server.cache_write_through = cache_mode == 2;
-  }
+  return cfg;
+}
+
+struct ScenarioRun {
+  std::vector<std::uint8_t> raw;  ///< whole-file bytes after flush + settle
+  std::vector<std::vector<std::uint8_t>> backs;  ///< per read method
+  std::uint64_t flushes = 0;  ///< client write-behind flushes
+  std::uint64_t batches = 0;  ///< kBatchWrite envelopes sent
+  bool replicas_mirror = true;  ///< every replica bstream equals its primary
+  bool ok = true;
+};
+
+/// True when `replica` holds exactly the bytes of `primary`. A size-0 (or
+/// absent) primary with no replica copy counts as a mirror.
+bool mirrors(const pfs::Bstream* primary, const pfs::Bstream* replica) {
+  const std::int64_t size = primary != nullptr ? primary->size() : 0;
+  if (replica == nullptr) return size == 0;
+  if (replica->size() != size) return false;
+  std::vector<std::uint8_t> a(static_cast<std::size_t>(size));
+  std::vector<std::uint8_t> b(static_cast<std::size_t>(size));
+  if (primary != nullptr) primary->read(0, a);
+  replica->read(0, b);
+  return a == b;
+}
+
+/// Write the scenario once with `write_method`, read it back through the
+/// view with every read method while writes may still be staged (the
+/// read-after-write drain path), flush write-behind, settle staged
+/// write-back cache data, then read the raw file image and compare every
+/// replica copy against its primary.
+ScenarioRun run_scenario(const Scenario& sc,
+                         const std::vector<std::uint8_t>& mem_image,
+                         Method write_method, std::int64_t file_end,
+                         const net::ClusterConfig& cfg) {
   pfs::Cluster cluster(cfg);
   auto client = cluster.make_client(0);
   io::Context ctx{cluster.scheduler(), *client, cluster.config()};
   mpiio::File file(ctx);
 
-  CacheRun run;
+  ScenarioRun run;
   bool wrote = false;
   cluster.scheduler().spawn(
       [](mpiio::File& f, const Scenario& s,
          const std::vector<std::uint8_t>& image, Method wm,
          bool& done) -> Task<void> {
-        EXPECT_TRUE((co_await f.open("/cached", true)).is_ok());
+        EXPECT_TRUE((co_await f.open("/scenario", true)).is_ok());
         f.set_view(s.displacement, types::byte_t(), s.filetype);
         Status st = co_await f.write_at(s.offset_etypes, image.data(),
                                         s.mem_count, s.memtype, wm);
@@ -346,9 +371,7 @@ CacheRun run_cached_scenario(const Scenario& sc,
   EXPECT_TRUE(wrote);
   run.ok = wrote;
 
-  for (const Method read_method :
-       {Method::kPosix, Method::kDataSieving, Method::kList,
-        Method::kDatatype}) {
+  for (const Method read_method : kReadMethods) {
     std::vector<std::uint8_t> back(mem_image.size(), 0);
     bool read_ok = false;
     cluster.scheduler().spawn(
@@ -365,9 +388,19 @@ CacheRun run_cached_scenario(const Scenario& sc,
     run.backs.push_back(std::move(back));
   }
 
-  // Settle staged write-back data (no-op for off/write-through), then read
-  // the raw file image.
+  // Explicit flush (MPI_File_sync analogue; a no-op with write-behind
+  // off), then settle staged write-back data (a no-op with the cache off
+  // or write-through), then the raw file image.
+  bool flushed = false;
+  cluster.scheduler().spawn([](mpiio::File& f, bool& done) -> Task<void> {
+    done = (co_await f.flush()).is_ok();
+  }(file, flushed));
+  cluster.run();
+  EXPECT_TRUE(flushed);
+  run.ok = run.ok && flushed;
+  EXPECT_EQ(client->write_behind_staged_bytes(), 0);
   cluster.flush_caches();
+
   run.raw.assign(static_cast<std::size_t>(file_end), 0);
   bool raw_ok = false;
   cluster.scheduler().spawn(
@@ -382,7 +415,49 @@ CacheRun run_cached_scenario(const Scenario& sc,
   cluster.run();
   EXPECT_TRUE(raw_ok);
   run.ok = run.ok && raw_ok;
+  run.flushes = client->wb_flushes();
+  run.batches = client->wb_batches();
+
+  const pfs::FileLayout layout(cfg.num_servers,
+                               static_cast<std::int64_t>(cfg.strip_size));
+  const int r = std::min(cfg.replication, cfg.num_servers);
+  for (int primary = 0; primary < cfg.num_servers; ++primary) {
+    for (int k = 1; k < r; ++k) {
+      const int holder = layout.replica_server(primary, k);
+      if (!mirrors(cluster.server(primary).find_bstream(file.handle()),
+                   cluster.server(holder).find_replica_bstream(file.handle(),
+                                                               primary))) {
+        ADD_FAILURE() << "server " << holder << "'s replica of server "
+                      << primary << " diverged";
+        run.replicas_mirror = false;
+      }
+    }
+  }
   return run;
+}
+
+// ---- Buffer-cache equivalence ----------------------------------------------
+//
+// The server buffer cache is a timing optimisation: with it on (write-back
+// or write-through, tiny capacity so eviction/flush paths fire constantly)
+// or off, the same workload must leave byte-identical file contents and
+// every read method must return byte-identical data. Write with a random
+// method, read back with ALL methods, then settle write-back dirt and
+// compare the raw file image across all three configurations and against
+// the oracle.
+
+/// scenario_config() with the buffer cache in `mode`: 0 = off,
+/// 1 = write-back, 2 = write-through. The cache is tiny (8 blocks of 512)
+/// so the scenario's working set overflows it: evictions, dirty flushes,
+/// and readahead all fire mid-run.
+net::ClusterConfig cache_config(int mode) {
+  net::ClusterConfig cfg = scenario_config();
+  if (mode != 0) {
+    cfg.server.cache_block_bytes = 512;
+    cfg.server.cache_capacity_bytes = 8 * 512;
+    cfg.server.cache_write_through = mode == 2;
+  }
+  return cfg;
 }
 
 class CacheEquivalence : public ::testing::TestWithParam<int> {};
@@ -394,35 +469,17 @@ TEST_P(CacheEquivalence, CacheOnOffByteIdenticalAcrossAllMethods) {
   std::vector<std::uint8_t> mem_image(static_cast<std::size_t>(mem_span));
   for (auto& b : mem_image) b = static_cast<std::uint8_t>(rng.next());
 
-  // Oracle image (same walker as AllMethodsAgreeWithOracle).
-  std::map<std::int64_t, std::uint8_t> expected_file;
-  {
-    const std::int64_t total = sc.mem_count * sc.memtype.size();
-    io::FileView view{sc.displacement, types::byte_t(), sc.filetype};
-    const io::StreamWindow window =
-        io::make_window(view, sc.offset_etypes, total);
-    io::JointWalker walker(io::make_mem_cursor(sc.memtype, sc.mem_count),
-                           io::make_file_cursor(view, window));
-    io::JointWalker::Piece piece;
-    while (walker.next(piece)) {
-      for (std::int64_t i = 0; i < piece.length; ++i) {
-        expected_file[piece.file_offset + i] =
-            mem_image[static_cast<std::size_t>(piece.mem_offset + i)];
-      }
-    }
-  }
-  std::int64_t file_end = 0;
-  for (const auto& [off, byte] : expected_file) {
-    file_end = std::max(file_end, off + 1);
-  }
+  const std::map<std::int64_t, std::uint8_t> expected_file =
+      oracle_image(sc, mem_image);
+  const std::int64_t file_end = image_end(expected_file);
+  const Method wm = kWriteMethods[rng.next_below(3)];
 
-  const Method write_methods[] = {Method::kPosix, Method::kList,
-                                  Method::kDatatype};
-  const Method wm = write_methods[rng.next_below(3)];
-
-  const CacheRun off = run_cached_scenario(sc, mem_image, wm, file_end, 0);
-  const CacheRun wb = run_cached_scenario(sc, mem_image, wm, file_end, 1);
-  const CacheRun wt = run_cached_scenario(sc, mem_image, wm, file_end, 2);
+  const ScenarioRun off =
+      run_scenario(sc, mem_image, wm, file_end, cache_config(0));
+  const ScenarioRun wb =
+      run_scenario(sc, mem_image, wm, file_end, cache_config(1));
+  const ScenarioRun wt =
+      run_scenario(sc, mem_image, wm, file_end, cache_config(2));
   ASSERT_TRUE(off.ok && wb.ok && wt.ok);
 
   // Raw file contents identical across configurations and per the oracle.
@@ -452,93 +509,10 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, CacheEquivalence, ::testing::Range(0, 12));
 // exercising the RAW drain path; the final raw image is read after an
 // explicit flush.
 
-struct WbRunResult {
-  std::vector<std::uint8_t> raw;  ///< whole-file bytes after flush
-  std::vector<std::vector<std::uint8_t>> backs;  ///< per read method
-  std::uint64_t flushes = 0;
-  std::uint64_t batches = 0;
-  bool ok = true;
-};
-
-WbRunResult run_wb_scenario(const Scenario& sc,
-                            const std::vector<std::uint8_t>& mem_image,
-                            Method write_method, std::int64_t file_end,
-                            std::int64_t write_behind_bytes) {
-  net::ClusterConfig cfg;
-  cfg.num_servers = 3;
-  cfg.num_clients = 1;
-  cfg.strip_size = 256;
+net::ClusterConfig write_behind_config(std::int64_t write_behind_bytes) {
+  net::ClusterConfig cfg = scenario_config();
   cfg.client.write_behind_bytes = write_behind_bytes;
-  pfs::Cluster cluster(cfg);
-  auto client = cluster.make_client(0);
-  io::Context ctx{cluster.scheduler(), *client, cluster.config()};
-  mpiio::File file(ctx);
-
-  WbRunResult run;
-  bool wrote = false;
-  cluster.scheduler().spawn(
-      [](mpiio::File& f, const Scenario& s,
-         const std::vector<std::uint8_t>& image, Method wm,
-         bool& done) -> Task<void> {
-        EXPECT_TRUE((co_await f.open("/wb", true)).is_ok());
-        f.set_view(s.displacement, types::byte_t(), s.filetype);
-        Status st = co_await f.write_at(s.offset_etypes, image.data(),
-                                        s.mem_count, s.memtype, wm);
-        EXPECT_TRUE(st.is_ok()) << st.to_string();
-        done = st.is_ok();
-      }(file, sc, mem_image, write_method, wrote));
-  cluster.run();
-  EXPECT_TRUE(wrote);
-  run.ok = wrote;
-
-  // Reads while data may still be staged: read-after-write overlap must
-  // drain the staging buffers first, so every method sees the new bytes.
-  for (const Method read_method :
-       {Method::kPosix, Method::kDataSieving, Method::kList,
-        Method::kDatatype}) {
-    std::vector<std::uint8_t> back(mem_image.size(), 0);
-    bool read_ok = false;
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, const Scenario& s, std::vector<std::uint8_t>& out,
-           Method rm, bool& done) -> Task<void> {
-          f.set_view(s.displacement, types::byte_t(), s.filetype);
-          done = (co_await f.read_at(s.offset_etypes, out.data(), s.mem_count,
-                                     s.memtype, rm))
-                     .is_ok();
-        }(file, sc, back, read_method, read_ok));
-    cluster.run();
-    EXPECT_TRUE(read_ok) << mpiio::method_name(read_method);
-    run.ok = run.ok && read_ok;
-    run.backs.push_back(std::move(back));
-  }
-
-  // Explicit flush (MPI_File_sync analogue), then the raw file image.
-  bool flushed = false;
-  cluster.scheduler().spawn([](mpiio::File& f, bool& done) -> Task<void> {
-    done = (co_await f.flush()).is_ok();
-  }(file, flushed));
-  cluster.run();
-  EXPECT_TRUE(flushed);
-  run.ok = run.ok && flushed;
-  EXPECT_EQ(client->write_behind_staged_bytes(), 0);
-
-  run.raw.assign(static_cast<std::size_t>(file_end), 0);
-  bool raw_ok = false;
-  cluster.scheduler().spawn(
-      [](mpiio::File& f, std::vector<std::uint8_t>& out,
-         bool& done) -> Task<void> {
-        f.set_view(0, types::byte_t(), types::byte_t());
-        auto whole = types::contiguous(static_cast<std::int64_t>(out.size()),
-                                       types::byte_t());
-        done = (co_await f.read_at(0, out.data(), 1, whole, Method::kPosix))
-                   .is_ok();
-      }(file, run.raw, raw_ok));
-  cluster.run();
-  EXPECT_TRUE(raw_ok);
-  run.ok = run.ok && raw_ok;
-  run.flushes = client->wb_flushes();
-  run.batches = client->wb_batches();
-  return run;
+  return cfg;
 }
 
 class WriteBehindEquivalence : public ::testing::TestWithParam<int> {};
@@ -550,38 +524,19 @@ TEST_P(WriteBehindEquivalence, OnOffByteIdenticalAcrossAllMethods) {
   std::vector<std::uint8_t> mem_image(static_cast<std::size_t>(mem_span));
   for (auto& b : mem_image) b = static_cast<std::uint8_t>(rng.next());
 
-  // Oracle image (same walker as AllMethodsAgreeWithOracle).
-  std::map<std::int64_t, std::uint8_t> expected_file;
-  {
-    const std::int64_t total = sc.mem_count * sc.memtype.size();
-    io::FileView view{sc.displacement, types::byte_t(), sc.filetype};
-    const io::StreamWindow window =
-        io::make_window(view, sc.offset_etypes, total);
-    io::JointWalker walker(io::make_mem_cursor(sc.memtype, sc.mem_count),
-                           io::make_file_cursor(view, window));
-    io::JointWalker::Piece piece;
-    while (walker.next(piece)) {
-      for (std::int64_t i = 0; i < piece.length; ++i) {
-        expected_file[piece.file_offset + i] =
-            mem_image[static_cast<std::size_t>(piece.mem_offset + i)];
-      }
-    }
-  }
-  std::int64_t file_end = 0;
-  for (const auto& [off, byte] : expected_file) {
-    file_end = std::max(file_end, off + 1);
-  }
-
-  const Method write_methods[] = {Method::kPosix, Method::kList,
-                                  Method::kDatatype};
-  const Method wm = write_methods[rng.next_below(3)];
+  const std::map<std::int64_t, std::uint8_t> expected_file =
+      oracle_image(sc, mem_image);
+  const std::int64_t file_end = image_end(expected_file);
+  const Method wm = kWriteMethods[rng.next_below(3)];
 
   // off | tiny watermark (mid-op flushes fire constantly) | huge watermark
   // (nothing auto-flushes: RAW drains + the explicit flush do all the work).
-  const WbRunResult off = run_wb_scenario(sc, mem_image, wm, file_end, 0);
-  const WbRunResult tiny = run_wb_scenario(sc, mem_image, wm, file_end, 512);
-  const WbRunResult big =
-      run_wb_scenario(sc, mem_image, wm, file_end, 16 * 1024 * 1024);
+  const ScenarioRun off =
+      run_scenario(sc, mem_image, wm, file_end, write_behind_config(0));
+  const ScenarioRun tiny =
+      run_scenario(sc, mem_image, wm, file_end, write_behind_config(512));
+  const ScenarioRun big = run_scenario(sc, mem_image, wm, file_end,
+                                       write_behind_config(16 * 1024 * 1024));
   ASSERT_TRUE(off.ok && tiny.ok && big.ok);
 
   EXPECT_EQ(off.raw, tiny.raw) << "tiny-watermark write-behind changed bytes";
@@ -604,6 +559,71 @@ TEST_P(WriteBehindEquivalence, OnOffByteIdenticalAcrossAllMethods) {
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, WriteBehindEquivalence,
                          ::testing::Range(0, 12));
+
+// ---- Cross-feature slice ---------------------------------------------------
+//
+// Write-behind, the buffer cache, replication and block checksums are each
+// checked alone above and in their own suites; this property combines
+// them. Each seed draws one point of write-behind {off, 512 B} x cache
+// {off, write-back, write-through} x replication {1, 2 with rpc_timeout}
+// x block_checksums {off, on} and runs it with every write method: every
+// read method must return the oracle's bytes, the settled raw image must
+// match the oracle, and every replica bstream must mirror its primary.
+// Checksum-on runs are slow on the host (every visited piece re-verifies
+// its page CRC), so the draw seeds keep six instances near 2 s serial in
+// Release while still covering every value of each dimension.
+
+class CrossFeature : public ::testing::TestWithParam<int> {};
+
+TEST_P(CrossFeature, EveryMethodMatchesOracleAndReplicasMirror) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 16807 + 1);
+  const Scenario sc = random_scenario(rng);
+  const std::int64_t mem_span = sc.memtype.extent() * sc.mem_count + 64;
+  std::vector<std::uint8_t> mem_image(static_cast<std::size_t>(mem_span));
+  for (auto& b : mem_image) b = static_cast<std::uint8_t>(rng.next());
+  const std::map<std::int64_t, std::uint8_t> expected_file =
+      oracle_image(sc, mem_image);
+  const std::int64_t file_end = image_end(expected_file);
+
+  const std::int64_t write_behind = rng.next_below(2) != 0 ? 512 : 0;
+  net::ClusterConfig cfg =
+      cache_config(static_cast<int>(rng.next_below(3)));
+  cfg.client.write_behind_bytes = write_behind;
+  if (rng.next_below(2) != 0) {
+    cfg.replication = 2;
+    cfg.client.rpc_timeout = 20 * kMillisecond;
+  }
+  cfg.server.block_checksums = rng.next_below(2) != 0;
+  const std::string point =
+      "write_behind=" + std::to_string(write_behind) +
+      " cache_bytes=" + std::to_string(cfg.server.cache_capacity_bytes) +
+      " write_through=" + std::to_string(cfg.server.cache_write_through) +
+      " replication=" + std::to_string(cfg.replication) +
+      " checksums=" + std::to_string(cfg.server.block_checksums);
+
+  for (const Method wm : kWriteMethods) {
+    SCOPED_TRACE(point + " write=" + std::string(mpiio::method_name(wm)));
+    const ScenarioRun run = run_scenario(sc, mem_image, wm, file_end, cfg);
+    ASSERT_TRUE(run.ok);
+    EXPECT_TRUE(run.replicas_mirror);
+    for (const auto& [at, byte] : expected_file) {
+      ASSERT_EQ(run.raw[static_cast<std::size_t>(at)], byte)
+          << "file byte " << at;
+    }
+    for (std::size_t m = 0; m < run.backs.size(); ++m) {
+      for (const Region& r : sc.memtype.flatten(0, sc.mem_count)) {
+        for (std::int64_t i = r.offset; i < r.end(); ++i) {
+          ASSERT_EQ(run.backs[m][static_cast<std::size_t>(i)],
+                    mem_image[static_cast<std::size_t>(i)])
+              << "mem byte " << i << " via "
+              << mpiio::method_name(kReadMethods[m]);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Draws, CrossFeature, ::testing::Range(0, 6));
 
 // ---- Chaos sweep -----------------------------------------------------------
 //
@@ -673,9 +693,7 @@ TEST_P(RandomChaos, OpsSucceedByteIdenticalOrFailTyped) {
   io::Context ctx{cluster.scheduler(), *client, cluster.config()};
   mpiio::File file(ctx);
 
-  const Method write_methods[] = {Method::kPosix, Method::kList,
-                                  Method::kDatatype};
-  const Method write_method = write_methods[rng.next_below(3)];
+  const Method write_method = kWriteMethods[rng.next_below(3)];
 
   Status write_status;
   bool opened = false;
@@ -701,9 +719,7 @@ TEST_P(RandomChaos, OpsSucceedByteIdenticalOrFailTyped) {
   }
 
   // Every read must round-trip byte-identically or fail typed.
-  for (const Method read_method :
-       {Method::kPosix, Method::kDataSieving, Method::kList,
-        Method::kDatatype}) {
+  for (const Method read_method : kReadMethods) {
     std::vector<std::uint8_t> back(mem_image.size(), 0);
     Status read_status;
     cluster.scheduler().spawn(
@@ -733,7 +749,9 @@ TEST_P(RandomChaos, OpsSucceedByteIdenticalOrFailTyped) {
   // Injection totals are probabilistic (a small scenario can draw zero
   // faults), so assert the plan was genuinely in the send path instead.
   EXPECT_EQ(cluster.network().fault_plan(), &plan);
-  if (variant == 4) EXPECT_EQ(cluster.server(1).stats().crashes, 1u);
+  if (variant == 4) {
+    EXPECT_EQ(cluster.server(1).stats().crashes, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, RandomChaos, ::testing::Range(0, 15));
