@@ -15,34 +15,45 @@
 //     scheduler run that drives the coroutine.
 //
 // A double-destroyed Box is harmless because its destructor is trivial;
-// the heap object is freed exactly once, by take(). If a started coroutine
-// is destroyed before its first resume the boxed object leaks — the
-// simulator never abandons started coroutines, and tests run the scheduler
-// to completion, so this is acceptable for the failure mode it replaces.
+// the boxed object is freed exactly once, by take(). Its slot comes from
+// the thread's FramePool (a Box is made and taken once per message
+// hop), so steady-state boxing makes no allocator calls. If a started
+// coroutine is destroyed before its first resume the boxed object leaks —
+// the simulator never abandons started coroutines, and tests run the
+// scheduler to completion, so this is acceptable for the failure mode it
+// replaces.
 #pragma once
 
 #include <cassert>
+#include <new>
 #include <utility>
+
+#include "common/frame_pool.h"
 
 namespace dtio {
 
 template <typename T>
 class Box {
+  static_assert(alignof(T) <= FramePool::kGranule);
+
  public:
   Box() noexcept : ptr_(nullptr) {}
-  explicit Box(T value) : ptr_(new T(std::move(value))) {}
+  explicit Box(T value)
+      : ptr_(::new (FramePool::local().allocate(sizeof(T)))
+                 T(std::move(value))) {}
 
   // Intentionally no destructor: triviality is the whole point.
   // Copying shares the raw pointer; exactly one copy may call take().
 
   [[nodiscard]] bool has_value() const noexcept { return ptr_ != nullptr; }
 
-  /// Move the value out and free the heap slot. Call exactly once across
+  /// Move the value out and free the pooled slot. Call exactly once across
   /// all copies of this Box; returns T{} for an empty Box.
   [[nodiscard]] T take() {
     if (ptr_ == nullptr) return T{};
     T value = std::move(*ptr_);
-    delete ptr_;
+    ptr_->~T();
+    FramePool::local().deallocate(ptr_, sizeof(T));
     ptr_ = nullptr;
     return value;
   }

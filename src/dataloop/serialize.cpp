@@ -1,6 +1,8 @@
 #include "dataloop/serialize.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace dtio::dl {
@@ -17,6 +19,59 @@ namespace {
 //     indexed:      i64 blocklens[count], i64 offsets[count], child
 //     struct:       i64 blocklens[count], i64 offsets[count], children[count]
 //   i64 lb, i64 extent   (re-applied via make_resized: covers resized types)
+
+// Decoded numbers are untrusted, and one flipped bit can make the
+// builders' size/extent arithmetic overflow. So every decoded number and
+// every derived field of a decoded node stays within kMaxMagnitude, and a
+// node is built only once a conservative bound on its arithmetic (n child
+// instances of magnitude m, displaced by up to `spread` bytes) fits too.
+// The headroom below INT64_MAX covers the few such terms that any one
+// builder expression adds up.
+constexpr std::int64_t kMaxMagnitude = std::int64_t{1} << 60;
+
+[[noreturn]] void out_of_range() {
+  throw std::invalid_argument("dataloop decode: value out of range");
+}
+
+// Saturating arithmetic on magnitudes (non-negative operands).
+std::int64_t sat_add(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  return __builtin_add_overflow(a, b, &r)
+             ? std::numeric_limits<std::int64_t>::max()
+             : r;
+}
+std::int64_t sat_mul(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  return __builtin_mul_overflow(a, b, &r)
+             ? std::numeric_limits<std::int64_t>::max()
+             : r;
+}
+std::int64_t mag(std::int64_t v) { return v < 0 ? -v : v; }
+
+std::int64_t magnitude(const Dataloop& loop) {
+  return std::max({mag(loop.count), mag(loop.size), mag(loop.extent),
+                   mag(loop.lb), mag(loop.data_lb), mag(loop.data_ub),
+                   mag(loop.regions)});
+}
+
+std::int64_t total(std::span<const std::int64_t> blocklens) {
+  std::int64_t n = 0;
+  for (const std::int64_t bl : blocklens) n = sat_add(n, mag(bl));
+  return n;
+}
+
+std::int64_t reach(std::span<const std::int64_t> offsets) {
+  std::int64_t r = 0;
+  for (const std::int64_t off : offsets) r = std::max(r, mag(off));
+  return r;
+}
+
+void require_fits(std::int64_t n, std::int64_t m, std::int64_t spread) {
+  if (sat_add(sat_mul(sat_add(mag(n), 1), sat_add(m, 1)),
+              sat_mul(2, spread)) > kMaxMagnitude) {
+    out_of_range();
+  }
+}
 
 void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -41,7 +96,9 @@ class Reader {
            << (8 * i);
     }
     pos_ += 8;
-    return static_cast<std::int64_t>(v);
+    const auto value = static_cast<std::int64_t>(v);
+    if (value < -kMaxMagnitude || value > kMaxMagnitude) out_of_range();
+    return value;
   }
   std::vector<std::int64_t> i64_array(std::int64_t n) {
     if (n < 0 || n > static_cast<std::int64_t>((in_.size() - pos_) / 8)) {
@@ -78,26 +135,35 @@ DataloopPtr decode_node(Reader& reader, int depth) {
       break;
     }
     case Kind::kContig: {
-      loop = make_contig(count, decode_node(reader, depth + 1));
+      DataloopPtr child = decode_node(reader, depth + 1);
+      require_fits(count, magnitude(*child), 0);
+      loop = make_contig(count, std::move(child));
       break;
     }
     case Kind::kVector: {
       const std::int64_t blocklen = reader.i64();
       const std::int64_t stride = reader.i64();
-      loop = make_vector(count, blocklen, stride, decode_node(reader, depth + 1));
+      DataloopPtr child = decode_node(reader, depth + 1);
+      require_fits(sat_mul(mag(count), mag(blocklen)), magnitude(*child),
+                   sat_mul(mag(count), mag(stride)));
+      loop = make_vector(count, blocklen, stride, std::move(child));
       break;
     }
     case Kind::kBlockIndexed: {
       const std::int64_t blocklen = reader.i64();
       const auto offsets = reader.i64_array(count);
-      loop = make_blockindexed(count, blocklen, offsets,
-                               decode_node(reader, depth + 1));
+      DataloopPtr child = decode_node(reader, depth + 1);
+      require_fits(sat_mul(mag(count), mag(blocklen)), magnitude(*child),
+                   reach(offsets));
+      loop = make_blockindexed(count, blocklen, offsets, std::move(child));
       break;
     }
     case Kind::kIndexed: {
       const auto blocklens = reader.i64_array(count);
       const auto offsets = reader.i64_array(count);
-      loop = make_indexed(blocklens, offsets, decode_node(reader, depth + 1));
+      DataloopPtr child = decode_node(reader, depth + 1);
+      require_fits(total(blocklens), magnitude(*child), reach(offsets));
+      loop = make_indexed(blocklens, offsets, std::move(child));
       break;
     }
     case Kind::kStruct: {
@@ -105,9 +171,12 @@ DataloopPtr decode_node(Reader& reader, int depth) {
       const auto offsets = reader.i64_array(count);
       std::vector<DataloopPtr> children;
       children.reserve(static_cast<std::size_t>(count));
+      std::int64_t m = 0;
       for (std::int64_t i = 0; i < count; ++i) {
         children.push_back(decode_node(reader, depth + 1));
+        m = std::max(m, magnitude(*children.back()));
       }
+      require_fits(total(blocklens), m, reach(offsets));
       loop = make_struct(blocklens, offsets, children);
       break;
     }
@@ -116,7 +185,9 @@ DataloopPtr decode_node(Reader& reader, int depth) {
   }
   const std::int64_t lb = reader.i64();
   const std::int64_t extent = reader.i64();
-  return make_resized(std::move(loop), lb, extent);
+  loop = make_resized(std::move(loop), lb, extent);
+  if (magnitude(*loop) > kMaxMagnitude) out_of_range();
+  return loop;
 }
 
 }  // namespace

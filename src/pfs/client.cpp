@@ -984,10 +984,19 @@ sim::Task<MetaResult> Client::stat_handle(std::uint64_t handle) {
 
 // ---- Access-list building ----------------------------------------------------
 
+void Client::reset_access(std::vector<ServerAccess>& out) const {
+  out.resize(static_cast<std::size_t>(config_->num_servers));
+  for (ServerAccess& acc : out) {
+    acc.pieces.clear();
+    acc.stream_at.clear();
+    acc.total_bytes = 0;
+  }
+}
+
 std::int64_t Client::build_access(const FileLayout& layout,
                                   std::span<const Region> logical,
                                   std::vector<ServerAccess>& out) const {
-  out.assign(static_cast<std::size_t>(config_->num_servers), ServerAccess{});
+  reset_access(out);
   std::int64_t pieces = 0;
   layout.map_regions(logical,
                      [&](int server, Region phys, std::int64_t stream_pos) {
@@ -1004,7 +1013,7 @@ std::int64_t Client::build_access_datatype(
     const FileLayout& layout, const dl::DataloopPtr& filetype,
     std::int64_t displacement, std::int64_t count, std::int64_t stream_offset,
     std::int64_t stream_length, std::vector<ServerAccess>& out) const {
-  out.assign(static_cast<std::size_t>(config_->num_servers), ServerAccess{});
+  reset_access(out);
   std::int64_t pieces = 0;
   std::int64_t pos = 0;  // position within the stream window
   dl::Cursor cursor(filetype, displacement, count);
@@ -1106,6 +1115,10 @@ sim::Task<Status> Client::data_op(OpKind op, std::uint64_t handle,
   ++stats_.io_ops;
   const FileLayout& layout = layout_for(handle);
   std::vector<ServerAccess> access;
+  if (!access_free_.empty()) {
+    access = std::move(access_free_.back());
+    access_free_.pop_back();
+  }
   std::int64_t pieces = 0;
   SimTime per_region = config_->client.flatten_cost_per_region;
   if (const auto* c = std::get_if<ContigPayload>(&payload)) {
@@ -1138,7 +1151,18 @@ sim::Task<Status> Client::run_requests(
     SimTime client_cpu_cost, Box<std::vector<ServerAccess>> access_box,
     const std::uint8_t* write_stream, std::uint8_t* read_stream,
     Box<Request> prototype_box) {
-  const std::vector<ServerAccess> access = access_box.take();
+  std::vector<ServerAccess> access = access_box.take();
+  const Status status = co_await fan_out(client_cpu_cost, access, write_stream,
+                                         read_stream, prototype_box);
+  access_free_.push_back(std::move(access));
+  co_return status;
+}
+
+sim::Task<Status> Client::fan_out(SimTime client_cpu_cost,
+                                  const std::vector<ServerAccess>& access,
+                                  const std::uint8_t* write_stream,
+                                  std::uint8_t* read_stream,
+                                  Box<Request> prototype_box) {
   Request prototype = prototype_box.take();
   // Carry the file's per-file layout (if any) so every data server can
   // rebuild the striping without consulting a metadata shard.

@@ -257,6 +257,9 @@ class Client {
     std::int64_t total_bytes = 0;
   };
 
+  /// Size `out` to one (empty) list per server, keeping the capacity a
+  /// previous op left in it.
+  void reset_access(std::vector<ServerAccess>& out) const;
   /// The client half of job building: map logical regions (or a dataloop
   /// stream window) into per-server access lists using the file's layout.
   /// Returns pieces walked.
@@ -488,15 +491,23 @@ class Client {
                             std::uint8_t* read_stream,
                             const dl::DataloopPtr& filetype = nullptr);
 
-  /// Issue one data request per involved server (per the access lists) and
-  /// await all replies. For writes, segments `write_stream` per server;
-  /// for reads, scatters reply data back into `read_stream`.
-  /// `client_cpu_cost` is the op-specific processing charge.
+  /// Run fan_out over the op's access lists, then hand the lists back to
+  /// access_free_ for the next op. A frame destroyed while parked (at
+  /// teardown) just frees them.
   sim::Task<Status> run_requests(SimTime client_cpu_cost,
                                  Box<std::vector<ServerAccess>> access_box,
                                  const std::uint8_t* write_stream,
                                  std::uint8_t* read_stream,
                                  Box<Request> prototype_box);
+  /// Issue one data request per involved server (per the access lists) and
+  /// await all replies. For writes, segments `write_stream` per server;
+  /// for reads, scatters reply data back into `read_stream`.
+  /// `client_cpu_cost` is the op-specific processing charge.
+  sim::Task<Status> fan_out(SimTime client_cpu_cost,
+                            const std::vector<ServerAccess>& access,
+                            const std::uint8_t* write_stream,
+                            std::uint8_t* read_stream,
+                            Box<Request> prototype_box);
 
   [[nodiscard]] std::uint64_t next_reply_tag() noexcept {
     return kTagReplyBase + (static_cast<std::uint64_t>(rank_) << 24) +
@@ -513,6 +524,9 @@ class Client {
   /// Per-handle layouts cached from create/open replies (only files whose
   /// shard chose a non-global layout appear here).
   std::map<std::uint64_t, FileLayout> layouts_;
+  /// Access lists of finished data ops, reused by the next data_op so that
+  /// steady-state ops refill warm vectors instead of allocating new ones.
+  std::vector<std::vector<ServerAccess>> access_free_;
   IoStats stats_;
   bool transfer_data_ = true;
   std::uint64_t reply_seq_ = 0;

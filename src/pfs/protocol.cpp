@@ -1,6 +1,5 @@
 #include "pfs/protocol.h"
 
-#include <any>
 #include <utility>
 
 #include "common/rng.h"
@@ -78,7 +77,7 @@ bool flip_bit(DataBuffer& buf, Rng& rng) {
 }  // namespace
 
 bool corrupt_message_payload(sim::Message& msg, Rng& rng) {
-  if (auto* request = std::any_cast<Request>(&msg.body)) {
+  if (auto* request = msg.body.get_if<Request>()) {
     return std::visit(
         [&rng](auto& payload) -> bool {
           using P = std::decay_t<decltype(payload)>;
@@ -111,7 +110,7 @@ bool corrupt_message_payload(sim::Message& msg, Rng& rng) {
         },
         request->payload);
   }
-  if (auto* reply = std::any_cast<Reply>(&msg.body)) {
+  if (auto* reply = msg.body.get_if<Reply>()) {
     return flip_bit(reply->data, rng);
   }
   return false;

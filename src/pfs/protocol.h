@@ -7,7 +7,7 @@
 // plus metadata operations (create/open/remove/stat) served by the
 // metadata server (node 0, which doubles as an I/O server, §4.1).
 //
-// All structs are carried inside sim::Message bodies (std::any), never as
+// All structs are carried inside sim::Message bodies (sim::Body), never as
 // raw coroutine parameters, so implicit move constructors are fine here.
 #pragma once
 

@@ -1,14 +1,17 @@
 // Fire-and-forget coroutines whose frames self-destroy on completion.
 //
-// The network layer spawns one of these per packet in flight; with
-// millions of packets per run, retaining frames (as Scheduler::spawn does
-// for long-lived processes) would exhaust memory. A Fire frame is owned by
-// nobody: it destroys itself at final_suspend. Exceptions escaping a Fire
-// body are parked in a thread-local slot that Scheduler::run rethrows.
+// The network layer spawns one of these per packet in flight. Unlike the
+// long-lived processes Scheduler::spawn retains, a Fire frame is owned by
+// nobody: it destroys itself at final_suspend, and its memory goes back to
+// the thread's FramePool for the next packet's frame. Exceptions escaping
+// a Fire body are parked in a thread-local slot that Scheduler::run
+// rethrows.
 #pragma once
 
 #include <coroutine>
 #include <exception>
+
+#include "common/frame_pool.h"
 
 namespace dtio::sim {
 
@@ -20,7 +23,7 @@ inline thread_local std::exception_ptr g_fire_exception;
 
 class Fire {
  public:
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Fire get_return_object() noexcept {
       return Fire{std::coroutine_handle<promise_type>::from_promise(*this)};
     }

@@ -4,10 +4,10 @@
 // either of which may be a wildcard, and matches the earliest queued
 // message satisfying the filter. Delivery and receipt are decoupled —
 // the network layer calls deliver() when the last packet of a message
-// arrives; receivers park in recv() until a match exists.
+// arrives; receivers park in recv() until a match exists. A message's
+// payload is a sim::Body, whose storage comes from the thread's FramePool.
 #pragma once
 
-#include <any>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include <optional>
 #include <utility>
 
+#include "sim/body.h"
 #include "sim/scheduler.h"
 
 namespace dtio::sim {
@@ -43,11 +44,11 @@ struct Message {
   /// by Mailbox::deliver(); -1 until delivered. Receivers use it to measure
   /// queue-wait. No semantic effect.
   SimTime delivered_at = -1;
-  std::any body;
+  Body body;
 
   Message() = default;
   Message(int src_, std::uint64_t tag_, std::uint64_t wire_bytes_,
-          std::any body_) noexcept
+          Body body_) noexcept
       : src(src_), tag(tag_), wire_bytes(wire_bytes_), body(std::move(body_)) {}
   // The move operations are user-provided on purpose: the GCC in use
   // miscompiles by-value coroutine parameters whose move constructor is
@@ -80,13 +81,13 @@ struct Message {
 
   template <typename T>
   [[nodiscard]] const T& as() const {
-    const T* p = std::any_cast<T>(&body);
+    const T* p = body.get_if<T>();
     assert(p != nullptr && "message body type mismatch");
     return *p;
   }
   template <typename T>
   [[nodiscard]] T take() {
-    T* p = std::any_cast<T>(&body);
+    T* p = body.get_if<T>();
     assert(p != nullptr && "message body type mismatch");
     return std::move(*p);
   }

@@ -1,5 +1,6 @@
 #include "sim/scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -15,12 +16,23 @@ Scheduler::~Scheduler() {
 
 void Scheduler::schedule_at(SimTime t, std::coroutine_handle<> h) {
   assert(t >= now_ && "cannot schedule into the simulated past");
-  queue_.push(Event{t, next_seq_++, h, nullptr});
+  queue_.push_back(Event{t, next_seq_++, h, 0});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
 }
 
 void Scheduler::schedule_call(SimTime t, std::function<void()> fn) {
   assert(t >= now_ && "cannot schedule into the simulated past");
-  queue_.push(Event{t, next_seq_++, nullptr, std::move(fn)});
+  std::uint64_t slot;
+  if (free_calls_.empty()) {
+    slot = calls_.size();
+    calls_.push_back(std::move(fn));
+  } else {
+    slot = free_calls_.back();
+    free_calls_.pop_back();
+    calls_[slot] = std::move(fn);
+  }
+  queue_.push_back(Event{t, next_seq_++, nullptr, slot});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
 }
 
 void Scheduler::schedule_telemetry(SimTime t, std::function<void()> fn) {
@@ -45,7 +57,7 @@ void Scheduler::run() {
     // is identical with or without telemetry attached. A telemetry
     // callback may schedule the next sample (periodic samplers), which
     // the loop picks up immediately if still due.
-    const SimTime next_time = queue_.top().time;
+    const SimTime next_time = queue_.front().time;
     while (!telemetry_.empty() && telemetry_.top().time <= next_time) {
       TelemetryEvent t = std::move(const_cast<TelemetryEvent&>(
           telemetry_.top()));
@@ -53,14 +65,19 @@ void Scheduler::run() {
       now_ = t.time;
       t.fn();
     }
-    Event ev = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+    const Event ev = queue_.back();
+    queue_.pop_back();
     now_ = ev.time;
     ++events_processed_;
     if (ev.handle) {
       ev.handle.resume();
     } else {
-      ev.fn();
+      // Move the callable out first: it may schedule further calls, which
+      // can reuse its slot or grow the slab under it.
+      std::function<void()> fn = std::move(calls_[ev.call]);
+      free_calls_.push_back(ev.call);
+      fn();
     }
   }
   check_process_exceptions();

@@ -79,13 +79,18 @@ class Scheduler {
     return events_processed_;
   }
 
- private:
+  /// One queued event: 32 bytes, trivially copyable, so heap sifts are
+  /// plain copies. Exactly one of `handle` / `call` is meaningful: a null
+  /// handle means "run callback slot `call`". (time, seq) is unique, so
+  /// the pop order is a total order independent of the heap's shape.
   struct Event {
     SimTime time;
     std::uint64_t seq;
-    std::coroutine_handle<> handle;   // exactly one of handle/fn is set
-    std::function<void()> fn;
+    std::coroutine_handle<> handle;
+    std::uint64_t call;
   };
+
+ private:
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
@@ -111,7 +116,11 @@ class Scheduler {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::vector<Event> queue_;  ///< min-heap on (time, seq) via EventLater
+  /// Callback slab: schedule_call parks its callable here and the event
+  /// carries the slot index; freed slots are reused through free_calls_.
+  std::vector<std::function<void()>> calls_;
+  std::vector<std::uint64_t> free_calls_;
   std::uint64_t next_telemetry_seq_ = 0;
   std::priority_queue<TelemetryEvent, std::vector<TelemetryEvent>,
                       TelemetryLater>

@@ -156,6 +156,50 @@ TEST(Crc32, MatchesKnownVector) {
   EXPECT_EQ(crc, 0xCBF43926u);
 }
 
+TEST(Crc32, EmptySpanReturnsSeed) {
+  EXPECT_EQ(crc32({}), 0u);
+  EXPECT_EQ(crc32({}, 0xCBF43926u), 0xCBF43926u);
+}
+
+TEST(Crc32, SeedChainsAcrossSplits) {
+  // Every split of "123456789" chains to the one-shot check value, across
+  // the 8-byte block boundary and the bytewise tail.
+  const char* s = "123456789";
+  const std::span<const std::uint8_t> all(
+      reinterpret_cast<const std::uint8_t*>(s), 9);
+  for (std::size_t cut = 0; cut <= all.size(); ++cut) {
+    EXPECT_EQ(crc32(all.subspan(cut), crc32(all.first(cut))), 0xCBF43926u)
+        << "cut at " << cut;
+  }
+}
+
+// The plain bitwise definition: the reference the table-driven version
+// must reproduce bit for bit.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFU;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtRandomLengthsAndOffsets) {
+  Rng rng(2024);
+  std::vector<std::uint8_t> data(5000);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t offset = rng.next_below(16);  // unaligned starts too
+    const std::size_t length = rng.next_below(data.size() - offset + 1);
+    const auto piece = std::span<const std::uint8_t>(data).subspan(offset,
+                                                                   length);
+    const auto seed = static_cast<std::uint32_t>(rng.next());
+    EXPECT_EQ(crc32(piece, seed), crc32_bytewise(piece, seed))
+        << "offset " << offset << " length " << length;
+  }
+}
+
 TEST(Crc32, IncrementalMatchesOneShot) {
   std::vector<std::uint8_t> data(1000);
   Rng rng(7);

@@ -669,6 +669,33 @@ TEST(Serialize, DecoderSurvivesBitFlips) {
   }
 }
 
+TEST(Serialize, DecoderRejectsNumbersThatWouldOverflow) {
+  // Wire of contig(2, leaf(8)): kind, count, then the leaf's kind, count
+  // and el_size. Patching in large numbers must throw before a builder
+  // multiplies them.
+  std::vector<std::uint8_t> wire;
+  encode(*make_contig(2, make_leaf(8)), wire);
+  const auto patch = [](std::vector<std::uint8_t> w, std::size_t at,
+                        std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      w[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
+          static_cast<std::uint64_t>(v) >> (8 * i));
+    }
+    return w;
+  };
+  constexpr std::size_t kCount = 1;
+  constexpr std::size_t kElSize = 1 + 8 + 1 + 8;
+  ASSERT_EQ(decode(patch(wire, kElSize, 16))->size, 32);
+  // Each number is in range, but count * el_size is 2^80.
+  EXPECT_THROW(
+      (void)decode(patch(patch(wire, kCount, std::int64_t{1} << 40), kElSize,
+                         std::int64_t{1} << 40)),
+      std::invalid_argument);
+  // A single number past 2^60 is rejected as it is read.
+  EXPECT_THROW((void)decode(patch(wire, kElSize, std::int64_t{1} << 62)),
+               std::invalid_argument);
+}
+
 TEST(Cursor, DeepNestingStress) {
   // 20 levels of alternating vectors: traversal and seek stay correct.
   DataloopPtr loop = make_leaf(2);
