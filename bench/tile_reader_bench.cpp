@@ -131,7 +131,7 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
   }
   if (use_obs) {
     bench::capture_latency(result, obs);
-    cluster.record_utilization_gauges();
+    cluster.record_metrics();
     if (!trace_path.empty() && cluster.write_trace(trace_path)) {
       std::printf("chrome trace (%s run): %s\n",
                   std::string(mpiio::method_name(method)).c_str(),
@@ -401,7 +401,7 @@ CacheArm run_tile_cache(const workloads::TileConfig& tile, int frames,
   }
   cluster.run();
   const std::uint64_t disk_after_populate =
-      cluster.cache_stats_total().disk_accesses;
+      cluster.server_stats_total().disk_accesses;
 
   auto read_pass = [&](double* seconds) {
     const SimTime t0 = cluster.scheduler().now();
@@ -424,9 +424,9 @@ CacheArm run_tile_cache(const workloads::TileConfig& tile, int frames,
   };
   read_pass(&out.cold_seconds);
   const std::uint64_t disk_after_cold =
-      cluster.cache_stats_total().disk_accesses;
+      cluster.server_stats_total().disk_accesses;
   read_pass(&out.warm_seconds);
-  out.totals = cluster.cache_stats_total();
+  out.totals = cluster.server_stats_total();
   out.cold_disk = disk_after_cold - disk_after_populate;
   out.warm_disk = out.totals.disk_accesses - disk_after_cold;
   return out;
@@ -543,7 +543,7 @@ ReplicationArm run_replication_arm(int replication) {
   out.quorum_writes = client->quorum_writes();
   out.fast_fails = client->breaker_fast_fails();
   out.timeouts = client->rpc_timeouts();
-  const pfs::ServerStats totals = cluster.cache_stats_total();
+  const pfs::ServerStats totals = cluster.server_stats_total();
   out.resyncs = totals.resyncs;
   out.resync_bytes = totals.resync_bytes_pulled;
   for (int s = 0; s < cfg.num_servers; ++s) {
@@ -649,7 +649,7 @@ MediaArm run_media_arm(int replication) {
       }(*client, handle, out.reads_ok, out.reads_lost, out.other_failures));
   cluster.run();  // drains through the scrubber's final clean cycle
 
-  const pfs::ServerStats totals = cluster.cache_stats_total();
+  const pfs::ServerStats totals = cluster.server_stats_total();
   out.detected = totals.media_sector_errors + totals.media_bit_rot_detected +
                  totals.media_torn_detected;
   out.repairs = totals.media_repairs + totals.scrub_repairs;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/observability.h"
-
 namespace dtio::net {
 
 const char* fault_kind_name(FaultKind kind) noexcept {
@@ -22,40 +20,25 @@ const char* fault_kind_name(FaultKind kind) noexcept {
   return "unknown";
 }
 
-void FaultPlan::set_observability(obs::Observability* obs) {
-  for (int k = 0; k < kNumFaultKinds; ++k) {
-    obs_kind_[k] =
-        obs == nullptr
-            ? nullptr
-            : &obs->metrics.counter(
-                  "faults_injected_total",
-                  obs::label("kind",
-                             fault_kind_name(static_cast<FaultKind>(k))));
+std::uint64_t FaultCounters::*FaultCounters::field(FaultKind kind) noexcept {
+  switch (kind) {
+    case FaultKind::kDrop:
+      return &FaultCounters::dropped;
+    case FaultKind::kDuplicate:
+      return &FaultCounters::duplicated;
+    case FaultKind::kCorrupt:
+      return &FaultCounters::corrupted;
+    case FaultKind::kDelay:
+      return &FaultCounters::delayed;
+    case FaultKind::kOutage:
+      break;
   }
+  return &FaultCounters::outage_dropped;
 }
 
 void FaultPlan::record(FaultKind kind, int src, int dst, SimTime now,
                        std::uint64_t tag) {
-  switch (kind) {
-    case FaultKind::kDrop:
-      ++counters_.dropped;
-      break;
-    case FaultKind::kDuplicate:
-      ++counters_.duplicated;
-      break;
-    case FaultKind::kCorrupt:
-      ++counters_.corrupted;
-      break;
-    case FaultKind::kDelay:
-      ++counters_.delayed;
-      break;
-    case FaultKind::kOutage:
-      ++counters_.outage_dropped;
-      break;
-  }
-  if (obs_kind_[static_cast<int>(kind)] != nullptr) {
-    obs_kind_[static_cast<int>(kind)]->add(1);
-  }
+  ++(counters_.*FaultCounters::field(kind));
   if (log_events_) events_.push_back(FaultEvent{now, kind, src, dst, tag});
 }
 

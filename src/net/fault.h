@@ -21,11 +21,6 @@
 #include "common/units.h"
 #include "sim/mailbox.h"
 
-namespace dtio::obs {
-class Counter;
-struct Observability;
-}  // namespace dtio::obs
-
 namespace dtio::net {
 
 enum class FaultKind : std::uint8_t {
@@ -89,13 +84,21 @@ struct FaultEvent {
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// Injection totals by kind (always maintained, even without obs attached).
+/// Injection totals by kind; Cluster::record_metrics() publishes them as
+/// faults_injected_total{kind=...}.
 struct FaultCounters {
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
   std::uint64_t corrupted = 0;
   std::uint64_t delayed = 0;
   std::uint64_t outage_dropped = 0;
+
+  /// The field tallying `kind`.
+  [[nodiscard]] static std::uint64_t FaultCounters::*field(
+      FaultKind kind) noexcept;
+  [[nodiscard]] std::uint64_t of(FaultKind kind) const noexcept {
+    return this->*field(kind);
+  }
 
   [[nodiscard]] std::uint64_t total() const noexcept {
     return dropped + duplicated + corrupted + delayed + outage_dropped;
@@ -187,10 +190,6 @@ class FaultPlan {
   /// it to assert identical sequences across same-seed runs).
   void set_log_events(bool on) noexcept { log_events_ = on; }
 
-  /// Attach the observability context (nullptr detaches): resolves one
-  /// faults_injected_total{kind=...} counter per kind.
-  void set_observability(obs::Observability* obs);
-
   /// The verdict for one message. `deliver == false` means the message is
   /// transmitted but never delivered; `duplicate_copy`, when present, is a
   /// second copy for the network to transmit (taken before any corruption,
@@ -247,7 +246,6 @@ class FaultPlan {
   bool log_events_ = false;
   std::vector<FaultEvent> events_;
   FaultCounters counters_;
-  obs::Counter* obs_kind_[kNumFaultKinds] = {};
 };
 
 }  // namespace dtio::net

@@ -17,10 +17,8 @@
 #include "sim/resource.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
-#include "sim/tracer.h"
 
 namespace dtio::obs {
-class Counter;
 struct Observability;
 }  // namespace dtio::obs
 
@@ -41,18 +39,16 @@ class Network {
   /// Shared fabric stage, or nullptr when disabled (diagnostics).
   [[nodiscard]] sim::Resource* fabric() noexcept { return fabric_.get(); }
 
-  /// Attach an event tracer (nullptr detaches). Not owned.
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-
   /// Attach a fault-injection plan (nullptr detaches). Not owned. When
   /// detached — the default — the send path pays exactly one pointer test.
   void set_fault_plan(FaultPlan* plan) noexcept { fault_ = plan; }
   [[nodiscard]] FaultPlan* fault_plan() const noexcept { return fault_; }
 
   /// Attach the observability context (nullptr detaches). Not owned.
-  /// Resolves the message/byte counters once so the send path never pays a
-  /// registry lookup; when detached the cost is one pointer test.
-  void set_observability(obs::Observability* obs);
+  /// Message spans only; the message/byte totals below are published as
+  /// counters by Cluster::record_metrics(). Detached, the send path pays
+  /// one pointer test.
+  void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
   [[nodiscard]] sim::Resource& tx_link(int node) { return endpoint(node).tx; }
   [[nodiscard]] sim::Resource& rx_link(int node) { return endpoint(node).rx; }
 
@@ -116,11 +112,8 @@ class Network {
   NetConfig config_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::unique_ptr<sim::Resource> fabric_;  ///< shared bisection stage (optional)
-  sim::Tracer* tracer_ = nullptr;
   FaultPlan* fault_ = nullptr;
   obs::Observability* obs_ = nullptr;
-  obs::Counter* obs_messages_ = nullptr;   ///< net_messages_total
-  obs::Counter* obs_wire_bytes_ = nullptr; ///< net_wire_bytes_total
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_wire_bytes_ = 0;
   std::uint64_t inflight_wire_bytes_ = 0;

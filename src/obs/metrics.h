@@ -23,6 +23,9 @@ class JsonWriter;
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_ += n; }
+  /// Publishes a tally kept elsewhere (Cluster::record_metrics), so
+  /// publishing twice never double-counts.
+  void set(std::uint64_t v) noexcept { value_ = v; }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
  private:

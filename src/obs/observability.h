@@ -1,14 +1,19 @@
 // The observability context: one object bundling the metrics registry and
 // the span/counter collector. Instrumented layers (client, server,
 // network, access methods, two-phase) hold a nullable pointer to one of
-// these; when it is null — the default — every instrumented site costs a
-// single pointer test, preserving the hot-path guarantee the Tracer
-// established.
+// these for spans, counter tracks and histograms; when it is null — the
+// default — every instrumented site costs a single pointer test.
+//
+// Event counts are not kept here: each component tallies its own events
+// once (ServerStats, Network totals, FaultCounters, client counters), and
+// Cluster::record_metrics() publishes those tallies as counters at report
+// time.
 //
 // Lifecycle: a bench or test constructs an Observability, attaches it via
-// Cluster::set_observability() BEFORE creating clients, runs, then exports
-// (chrome_trace.h for Perfetto, run_report.h for machine-readable bench
-// output, MetricsRegistry::to_json for raw metrics).
+// Cluster::set_observability() BEFORE creating clients, runs, calls
+// Cluster::record_metrics(), then exports (chrome_trace.h for Perfetto,
+// run_report.h for machine-readable bench output, MetricsRegistry::to_json
+// for raw metrics).
 #pragma once
 
 #include <cstddef>

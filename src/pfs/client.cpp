@@ -51,12 +51,8 @@ Client::Client(sim::Scheduler& sched, net::Network& network,
 
 void Client::set_observability(obs::Observability* obs) {
   obs_ = obs;
-  // Write-behind and data-loss metrics re-resolve lazily against the new
-  // context.
-  obs_wb_staged_ = nullptr;
-  obs_wb_coalesced_ = nullptr;
+  // The write-behind histogram re-resolves lazily against the new context.
   wb_batch_subops_ = nullptr;
-  obs_data_loss_ = nullptr;
   for (int i = 0; i < kNumOps; ++i) {
     op_latency_[i] =
         obs == nullptr
@@ -66,47 +62,14 @@ void Client::set_observability(obs::Observability* obs) {
                   obs::label("op", op_name(static_cast<OpKind>(i)), "node",
                              node_));
   }
-  if (obs == nullptr) {
-    obs_retries_ = nullptr;
-    obs_timeouts_ = nullptr;
-    attempt_latency_ = nullptr;
-    retry_backoff_ = nullptr;
-    obs_hedges_issued_ = nullptr;
-    obs_hedges_won_ = nullptr;
-    obs_hedges_suppressed_ = nullptr;
-    obs_overloaded_ = nullptr;
-    obs_fast_fails_ = nullptr;
-    obs_read_failovers_ = nullptr;
-    obs_quorum_writes_ = nullptr;
-    return;
-  }
-  obs_hedges_issued_ = &obs->metrics.counter("client_hedges_issued_total",
-                                             obs::label("node", node_));
-  obs_hedges_won_ = &obs->metrics.counter("client_hedges_won_total",
-                                          obs::label("node", node_));
-  obs_hedges_suppressed_ = &obs->metrics.counter(
-      "client_hedges_suppressed_total", obs::label("node", node_));
-  if (effective_replication() > 1) {
-    obs_read_failovers_ = &obs->metrics.counter(
-        "client_read_failovers_total", obs::label("node", node_));
-    obs_quorum_writes_ = &obs->metrics.counter("client_quorum_writes_total",
+  attempt_latency_ =
+      obs == nullptr ? nullptr
+                     : &obs->metrics.histogram("client_rpc_attempt_latency_ns",
                                                obs::label("node", node_));
-  } else {
-    obs_read_failovers_ = nullptr;
-    obs_quorum_writes_ = nullptr;
-  }
-  obs_overloaded_ = &obs->metrics.counter("client_overloaded_total",
-                                          obs::label("node", node_));
-  obs_fast_fails_ = &obs->metrics.counter("client_breaker_fast_fails_total",
-                                          obs::label("node", node_));
-  obs_retries_ =
-      &obs->metrics.counter("client_retries_total", obs::label("node", node_));
-  obs_timeouts_ = &obs->metrics.counter("client_rpc_timeouts_total",
-                                        obs::label("node", node_));
-  attempt_latency_ = &obs->metrics.histogram("client_rpc_attempt_latency_ns",
-                                             obs::label("node", node_));
-  retry_backoff_ = &obs->metrics.histogram("client_retry_backoff_ns",
-                                           obs::label("node", node_));
+  retry_backoff_ =
+      obs == nullptr ? nullptr
+                     : &obs->metrics.histogram("client_retry_backoff_ns",
+                                               obs::label("node", node_));
 }
 
 Client::OpTrace Client::begin_op(OpKind op) {
@@ -385,12 +348,8 @@ bool Client::breaker_try_pass(Lane& l, int server) {
   if (l.breaker == Lane::Breaker::kOpen) {
     if (sched_->now() < l.open_until) return false;
     // Cool-down elapsed: admit probes one at a time until one resolves.
-    l.breaker = Lane::Breaker::kHalfOpen;
+    breaker_set(l, server, Lane::Breaker::kHalfOpen);
     l.probe_in_flight = false;
-    if (tracer_ != nullptr) {
-      tracer_->record({sched_->now(), "breaker_half_open", node_, server, 0,
-                       0, ""});
-    }
   }
   if (l.breaker == Lane::Breaker::kHalfOpen) {
     if (l.probe_in_flight) return false;
@@ -403,11 +362,8 @@ void Client::breaker_on_success(Lane& l, int server) {
   l.consecutive_failures = 0;
   if (config_->client.breaker_failures <= 0) return;
   if (l.breaker == Lane::Breaker::kClosed) return;
-  l.breaker = Lane::Breaker::kClosed;
+  breaker_set(l, server, Lane::Breaker::kClosed);
   l.probe_in_flight = false;
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "breaker_close", node_, server, 0, 0, ""});
-  }
 }
 
 void Client::breaker_on_failure(Lane& l, int server) {
@@ -419,12 +375,16 @@ void Client::breaker_on_failure(Lane& l, int server) {
       (l.breaker == Lane::Breaker::kClosed &&
        l.consecutive_failures >= threshold);
   if (!trip) return;
-  l.breaker = Lane::Breaker::kOpen;
+  breaker_set(l, server, Lane::Breaker::kOpen);
   l.open_until = sched_->now() + config_->client.breaker_open_duration;
   l.probe_in_flight = false;
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "breaker_open", node_, server, 0,
-                     static_cast<std::uint64_t>(l.consecutive_failures), ""});
+}
+
+void Client::breaker_set(Lane& l, int server, Lane::Breaker state) {
+  l.breaker = state;
+  if (obs_ != nullptr) {
+    obs_->spans.sample("breaker_srv" + std::to_string(server), node_,
+                       sched_->now(), static_cast<double>(state));
   }
 }
 
@@ -457,7 +417,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   // runs in microseconds rather than rpc_timeout.
   if (reliable && !breaker_try_pass(ln, slot->server)) {
     ++breaker_fast_fails_;
-    if (obs_fast_fails_ != nullptr) obs_fast_fails_->add(1);
     slot->status = unavailable("circuit breaker open for server " +
                                std::to_string(slot->server));
     co_return;
@@ -496,10 +455,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       }
       ++rpc_retries_;
       ++stats_.requests_sent;
-      if (obs_retries_ != nullptr) {
-        obs_retries_->add(1);
-        retry_backoff_->record(backoff);
-      }
+      if (obs_ != nullptr) retry_backoff_->record(backoff);
       DTIO_DEBUG("cli" << node_ << " rpc retry " << attempt << "/"
                        << max_attempts << " to srv" << slot->server);
       obs::SpanId backoff_span = 0;
@@ -577,11 +533,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
           // unhealthy — the one place extra load cannot help. Suppress it
           // and give the primary reply the full timeout instead.
           ++hedges_suppressed_;
-          if (obs_hedges_suppressed_ != nullptr) obs_hedges_suppressed_->add(1);
-          if (tracer_ != nullptr) {
-            tracer_->record({sched_->now(), "hedge_suppressed", node_,
-                             slot->server, tag, 0, op_name(slot->request.op)});
-          }
           maybe = co_await network_->mailbox(node_).recv_for(slot->server, tag,
                                                              cc.rpc_timeout);
         } else if (!maybe.has_value()) {
@@ -592,11 +543,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
           hedge_sent = true;
           ++hedges_issued_;
           ++stats_.requests_sent;
-          if (obs_hedges_issued_ != nullptr) obs_hedges_issued_->add(1);
-          if (tracer_ != nullptr) {
-            tracer_->record({sched_->now(), "hedge", node_, slot->server,
-                             hedge_tag, 0, op_name(slot->request.op)});
-          }
           sim::Message out2(node_, kTagRequest, slot->wire_bytes,
                             std::move(hedge));
           out2.trace = slot->request.trace_id;
@@ -624,17 +570,13 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
                                " timed out (attempt " +
                                std::to_string(attempt) + ")");
         if (obs_ != nullptr) {
-          obs_timeouts_->add(1);
           attempt_latency_->record(sched_->now() - attempt_start);
           obs_->spans.end(attempt_span, sched_->now());
         }
         continue;
       }
       msg = std::move(*maybe);
-      if (hedge_won) {
-        ++hedges_won_;
-        if (obs_hedges_won_ != nullptr) obs_hedges_won_->add(1);
-      }
+      if (hedge_won) ++hedges_won_;
     }
     Reply reply = msg.take<Reply>();
     if (obs_ != nullptr && reliable) {
@@ -676,7 +618,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         // the next backoff. Sheds are deliberate, cheap, and prove the
         // server alive — they do not count toward the breaker.
         ++overloads_seen_;
-        if (obs_overloaded_ != nullptr) obs_overloaded_->add(1);
         // One reply, one decrease: a shed batch halves the AIMD window
         // once, regardless of how many sub-ops it carried.
         health_note(ln, 0, /*failed=*/true);
@@ -707,7 +648,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
             loss_repeats = 1;
           }
           if (loss_repeats >= cc.data_loss_fast_fail) {
-            note_data_loss_surfaced(slot->server);
+            ++data_loss_surfaced_;
             slot->status = last;
             slot->reply = std::move(reply);
             co_return;
@@ -739,7 +680,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   } else {
     if (last.code() == StatusCode::kDataLoss && data_read) {
       // Same terminal outcome as the fast-fail path, reached the slow way.
-      note_data_loss_surfaced(slot->server);
+      ++data_loss_surfaced_;
     }
     slot->status = last;
   }
@@ -781,16 +722,7 @@ sim::Task<void> Client::rpc_attempts_failover(RpcSlot* slot) {
       slot->request.replica_of = k == 0 ? -1 : primary;
       slot->max_attempts_override = 1;
       if (k > 0 || round > 0) ++stats_.requests_sent;
-      if (k > 0) {
-        ++read_failovers_;
-        if (obs_read_failovers_ != nullptr) obs_read_failovers_->add(1);
-        if (tracer_ != nullptr) {
-          tracer_->record({sched_->now(), "read_failover", node_,
-                           slot->server, 0,
-                           static_cast<std::uint64_t>(primary),
-                           op_name(base.op)});
-        }
-      }
+      if (k > 0) ++read_failovers_;
       co_await rpc_attempts(slot);
       if (slot->status.is_ok()) co_return;
       const StatusCode code = slot->status.code();
@@ -838,7 +770,6 @@ std::shared_ptr<Client::QuorumGroup> Client::quorum_spawn(
     group->slots.push_back(std::move(slot));
   }
   ++quorum_writes_;
-  if (obs_quorum_writes_ != nullptr) obs_quorum_writes_->add(1);
   for (auto& slot : group->slots) {
     sched_->start(quorum_fire(group, slot.get()));
   }
@@ -1225,7 +1156,7 @@ sim::Task<Status> Client::fan_out(SimTime client_cpu_cost,
       stats_.accessed_bytes += static_cast<std::uint64_t>(acc.total_bytes);
     }
     ++wb_staged_ops_;
-    if (obs_wb_staged_ != nullptr) obs_wb_staged_->add(total_bytes);
+    wb_staged_bytes_ += static_cast<std::uint64_t>(total_bytes);
 
     // High watermark: any server whose staging buffer crossed the limit
     // flushes now, inline, so a hot server cannot grow its buffer without
@@ -1492,9 +1423,6 @@ void Client::wb_stage_run(int server, std::uint64_t handle, Region phys,
   buf.runs.emplace(std::make_pair(handle, new_lo), std::move(merged));
 
   wb_coalesced_ += absorbed_ops;
-  if (obs_wb_coalesced_ != nullptr && absorbed_ops > 0) {
-    obs_wb_coalesced_->add(static_cast<std::int64_t>(absorbed_ops));
-  }
 }
 
 bool Client::wb_read_overlaps(int server, std::uint64_t handle,
@@ -1533,7 +1461,6 @@ sim::Task<Status> Client::wb_flush_server(int server, const char* reason,
   buf.bytes = 0;
   wb_total_bytes_ -= flush_bytes;
 
-  ++wb_flushes_;
   wb_note_flush(reason, runs.size());
 
   // The flush is its own root trace: staged writes already closed their op
@@ -1686,38 +1613,23 @@ void Client::wb_strip_acked(RpcSlot* slot, const Reply& reply) {
                      rest_bytes;
 }
 
+std::uint64_t Client::wb_flushes() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& [reason, n] : wb_flushes_by_reason_) total += n;
+  return total;
+}
+
 void Client::wb_resolve_obs() {
   if (obs_ == nullptr || wb_batch_subops_ != nullptr) return;
   // Resolved lazily, on first staged write, so runs with write-behind off
   // register no wb_* metrics and their exports stay byte-identical.
-  obs_wb_staged_ = &obs_->metrics.counter("client_wb_staged_bytes_total",
-                                          obs::label("node", node_));
-  obs_wb_coalesced_ = &obs_->metrics.counter("client_wb_coalesced_ops_total",
-                                             obs::label("node", node_));
   wb_batch_subops_ = &obs_->metrics.histogram("client_wb_batch_subops",
                                               obs::label("node", node_));
 }
 
-void Client::note_data_loss_surfaced(int server) {
-  ++data_loss_surfaced_;
-  if (obs_ != nullptr) {
-    if (obs_data_loss_ == nullptr) {
-      obs_data_loss_ = &obs_->metrics.counter("client_data_loss_total",
-                                              obs::label("node", node_));
-    }
-    obs_data_loss_->add(1);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "data_loss", node_, server, 0, 0, ""});
-  }
-}
-
 void Client::wb_note_flush(const char* reason, std::size_t sub_ops) {
+  ++wb_flushes_by_reason_[reason];
   if (obs_ == nullptr) return;
-  obs_->metrics
-      .counter("client_wb_flushes_total",
-               obs::label("reason", reason, "node", node_))
-      .add(1);
   wb_resolve_obs();
   wb_batch_subops_->record(static_cast<std::int64_t>(sub_ops));
 }

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,7 +37,6 @@
 #include "pfs/protocol.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
-#include "sim/tracer.h"
 #include "sim/waitgroup.h"
 
 namespace dtio::pfs {
@@ -63,8 +63,8 @@ class Client {
   void set_transfer_data(bool transfer) noexcept { transfer_data_ = transfer; }
   [[nodiscard]] bool transfer_data() const noexcept { return transfer_data_; }
 
-  /// Reliability-layer counters (also exported as client_retries_total /
-  /// client_rpc_timeouts_total when observability is attached). Both stay
+  /// Reliability-layer counters (published as client_retries_total /
+  /// client_rpc_timeouts_total by Cluster::record_metrics()). Both stay
   /// zero with rpc_timeout == 0 or a fault-free run.
   [[nodiscard]] std::uint64_t rpc_retries() const noexcept {
     return rpc_retries_;
@@ -144,8 +144,12 @@ class Client {
   sim::Task<Status> flush_write_behind();
 
   /// Write-behind counters, for tests and benches.
-  [[nodiscard]] std::uint64_t wb_flushes() const noexcept {
-    return wb_flushes_;
+  [[nodiscard]] std::uint64_t wb_flushes() const noexcept;
+  /// Flush events by reason ("watermark", "read_overlap", "lock", "stat",
+  /// "flush", "explicit"); only reasons that happened appear.
+  [[nodiscard]] const std::map<std::string_view, std::uint64_t>&
+  wb_flushes_by_reason() const noexcept {
+    return wb_flushes_by_reason_;
   }
   [[nodiscard]] std::uint64_t wb_batches() const noexcept {
     return wb_batches_;
@@ -155,6 +159,10 @@ class Client {
   }
   [[nodiscard]] std::uint64_t wb_staged_ops() const noexcept {
     return wb_staged_ops_;
+  }
+  /// Logical bytes of the write ops absorbed into staging.
+  [[nodiscard]] std::uint64_t wb_staged_bytes() const noexcept {
+    return wb_staged_bytes_;
   }
 
   /// Snapshot of one per-server lane's health, for tests and benches.
@@ -168,13 +176,11 @@ class Client {
   };
   [[nodiscard]] LaneHealth lane_health(int server) const;
 
-  /// Attach the event tracer (nullptr detaches): breaker transitions and
-  /// hedge issues become trace events. Not owned.
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-
   /// Attach the observability context (nullptr detaches). Not owned.
   /// Per-op latency histograms are resolved here, once, so the op path
-  /// pays no registry lookups; when detached, one pointer test.
+  /// pays no registry lookups; when detached, one pointer test. Counters
+  /// are published from the tallies above by Cluster::record_metrics();
+  /// breaker transitions become "breaker_srv<k>" counter tracks.
   void set_observability(obs::Observability* obs);
   [[nodiscard]] obs::Observability* observability() const noexcept {
     return obs_;
@@ -421,6 +427,9 @@ class Client {
   [[nodiscard]] bool breaker_try_pass(Lane& l, int server);
   void breaker_on_success(Lane& l, int server);
   void breaker_on_failure(Lane& l, int server);
+  /// Moves `server`'s breaker to `state`, sampling the "breaker_srv<k>"
+  /// counter track (0 closed, 1 open, 2 half-open) when obs is attached.
+  void breaker_set(Lane& l, int server, Lane::Breaker state);
 
   // ---- Write-behind internals ------------------------------------------------
 
@@ -459,16 +468,11 @@ class Client {
   /// Strip sub-ops the reply already acknowledged from a batch slot so a
   /// retry resends only the unacked remainder.
   void wb_strip_acked(RpcSlot* slot, const Reply& reply);
-  /// Lazy metric resolution: write-behind counters only enter the registry
-  /// once staging actually happens, keeping default-config exports
-  /// untouched.
+  /// Lazy metric resolution: the write-behind histogram only enters the
+  /// registry once staging actually happens, keeping default-config
+  /// exports untouched.
   void wb_resolve_obs();
   void wb_note_flush(const char* reason, std::size_t sub_ops);
-
-  /// Count a read surfaced as kDataLoss by the fast-fail path; resolves
-  /// client_data_loss_total lazily (clean runs register nothing) and emits
-  /// a "data_loss" trace event.
-  void note_data_loss_surfaced(int server);
 
   /// One client operation's trace context. begin_op is a no-op returning
   /// zeroes when observability is detached; finish_op closes the root span
@@ -546,15 +550,15 @@ class Client {
   std::uint64_t quorum_writes_ = 0;
   std::uint64_t data_loss_surfaced_ = 0;
   std::vector<Lane> lanes_;  ///< one per server
-  sim::Tracer* tracer_ = nullptr;
 
   // Write-behind state (all dormant while write_behind_bytes == 0).
   std::vector<WbServerBuf> wb_;  ///< sized lazily to num_servers
   std::int64_t wb_total_bytes_ = 0;
-  std::uint64_t wb_flushes_ = 0;     ///< flush events (any reason)
+  std::map<std::string_view, std::uint64_t> wb_flushes_by_reason_;
   std::uint64_t wb_batches_ = 0;     ///< kBatchWrite envelopes completed
   std::uint64_t wb_coalesced_ = 0;   ///< staged runs merged away
   std::uint64_t wb_staged_ops_ = 0;  ///< write ops absorbed without an RPC
+  std::uint64_t wb_staged_bytes_ = 0;  ///< logical bytes of those ops
 
   /// Client-facing ops with latency histograms (kBatchWrite is internal:
   /// flush latency is tracked by the client_flush span and wb counters).
@@ -562,26 +566,8 @@ class Client {
   obs::Observability* obs_ = nullptr;
   /// client_op_latency_ns{op=...,node=...}, resolved in set_observability.
   obs::Histogram* op_latency_[kNumOps] = {};
-  obs::Counter* obs_retries_ = nullptr;        ///< client_retries_total
-  obs::Counter* obs_timeouts_ = nullptr;       ///< client_rpc_timeouts_total
   obs::Histogram* attempt_latency_ = nullptr;  ///< client_rpc_attempt_latency_ns
   obs::Histogram* retry_backoff_ = nullptr;    ///< client_retry_backoff_ns
-  obs::Counter* obs_hedges_issued_ = nullptr;  ///< client_hedges_issued_total
-  obs::Counter* obs_hedges_won_ = nullptr;     ///< client_hedges_won_total
-  obs::Counter* obs_overloaded_ = nullptr;     ///< client_overloaded_total
-  obs::Counter* obs_fast_fails_ = nullptr;     ///< client_breaker_fast_fails_total
-  obs::Counter* obs_hedges_suppressed_ = nullptr;  ///< client_hedges_suppressed_total
-  // Replication metrics, registered only at effective_replication() > 1 so
-  // unreplicated runs keep their metric exports untouched.
-  obs::Counter* obs_read_failovers_ = nullptr;  ///< client_read_failovers_total
-  obs::Counter* obs_quorum_writes_ = nullptr;   ///< client_quorum_writes_total
-  // Resolved lazily on the first surfaced loss (like the wb_* counters):
-  // clean runs register no data-loss metric and their exports stay
-  // byte-identical.
-  obs::Counter* obs_data_loss_ = nullptr;  ///< client_data_loss_total
-  // Write-behind metrics, resolved lazily on first staging (wb_resolve_obs).
-  obs::Counter* obs_wb_staged_ = nullptr;      ///< client_wb_staged_bytes_total
-  obs::Counter* obs_wb_coalesced_ = nullptr;   ///< client_wb_coalesced_ops_total
   obs::Histogram* wb_batch_subops_ = nullptr;  ///< client_wb_batch_subops
 };
 

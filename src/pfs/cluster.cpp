@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 #include "obs/chrome_trace.h"
 
@@ -27,59 +28,134 @@ std::vector<std::string> Cluster::node_names() const {
   return names;
 }
 
-ServerStats Cluster::cache_stats_total() const {
+ServerStats Cluster::server_stats_total() const {
   ServerStats total;
-  for (const auto& server : servers_) {
-    const ServerStats& s = server->stats();
-    total.disk_accesses += s.disk_accesses;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.cache_readahead_issued += s.cache_readahead_issued;
-    total.cache_evictions += s.cache_evictions;
-    total.cache_dirty_flushed_bytes += s.cache_dirty_flushed_bytes;
-    total.cache_dirty_lost_bytes += s.cache_dirty_lost_bytes;
-    total.crash_discarded += s.crash_discarded;
-    total.resyncs += s.resyncs;
-    total.resync_strips_pulled += s.resync_strips_pulled;
-    total.resync_bytes_pulled += s.resync_bytes_pulled;
-    total.resync_peers_skipped += s.resync_peers_skipped;
-    total.resync_served += s.resync_served;
-    total.resync_refused += s.resync_refused;
-    total.media_sector_errors += s.media_sector_errors;
-    total.media_bit_rot_detected += s.media_bit_rot_detected;
-    total.media_torn_detected += s.media_torn_detected;
-    total.checksum_mismatches += s.checksum_mismatches;
-    total.media_repairs += s.media_repairs;
-    total.media_repair_failures += s.media_repair_failures;
-    total.media_data_loss += s.media_data_loss;
-    total.scrub_passes += s.scrub_passes;
-    total.scrub_blocks += s.scrub_blocks;
-    total.scrub_repairs += s.scrub_repairs;
-    total.scrub_errors += s.scrub_errors;
-  }
+  for (const auto& server : servers_) total += server->stats();
   return total;
 }
 
-void Cluster::record_utilization_gauges() {
+void Cluster::record_metrics() {
   if (obs_ == nullptr) return;
+  obs::MetricsRegistry& m = obs_->metrics;
   const SimTime elapsed = scheduler_.now();
   for (int s = 0; s < config_.num_servers; ++s) {
-    obs_->metrics
-        .gauge("server_disk_utilization", obs::label("node", s))
+    const std::string node = obs::label("node", s);
+    m.gauge("server_disk_utilization", node)
         .set(fraction(server(s).disk().busy_integral(), elapsed));
-    obs_->metrics
-        .gauge("server_cpu_utilization", obs::label("node", s))
+    m.gauge("server_cpu_utilization", node)
         .set(fraction(server(s).cpu().busy_integral(), elapsed));
-    obs_->metrics
-        .gauge("server_tx_utilization", obs::label("node", s))
+    m.gauge("server_tx_utilization", node)
         .set(fraction(network_.tx_link(s).busy_integral(), elapsed));
-    obs_->metrics
-        .gauge("server_rx_utilization", obs::label("node", s))
+    m.gauge("server_rx_utilization", node)
         .set(fraction(network_.rx_link(s).busy_integral(), elapsed));
   }
   if (network_.fabric() != nullptr) {
-    obs_->metrics.gauge("fabric_utilization")
+    m.gauge("fabric_utilization")
         .set(fraction(network_.fabric()->busy_integral(), elapsed));
+  }
+
+  m.counter("net_messages_total").set(network_.total_messages());
+  m.counter("net_wire_bytes_total").set(network_.total_wire_bytes());
+  if (const net::FaultPlan* plan = network_.fault_plan()) {
+    for (int k = 0; k < net::kNumFaultKinds; ++k) {
+      const auto kind = static_cast<net::FaultKind>(k);
+      m.counter("faults_injected_total",
+                obs::label("kind", net::fault_kind_name(kind)))
+          .set(plan->counters().of(kind));
+    }
+  }
+
+  static constexpr const char* kMetaOpNames[6] = {
+      "create", "open", "remove", "stat", "lock", "unlock"};
+  for (int s = 0; s < config_.num_servers; ++s) {
+    const ServerStats& st = server(s).stats();
+    const std::string node = obs::label("node", s);
+    const auto put = [&](std::string_view name, std::uint64_t value) {
+      m.counter(name, node).set(value);
+    };
+    // Shed requests never reach the handler; the counter is handled ones.
+    put("server_requests_total",
+        st.requests - st.sheds_depth - st.sheds_bytes);
+    put("server_disk_bytes_total", st.disk_bytes);
+    put("server_subtrees_skipped_total", st.subtrees_skipped);
+    put("server_pieces_pruned_total", st.pieces_pruned);
+    put("server_replays_suppressed_total", st.replays_suppressed);
+    put("server_crashes_total", st.crashes);
+    put("server_crc_rejects_total", st.crc_rejects);
+    m.counter("server_shed_total", obs::label("reason", "depth", "node", s))
+        .set(st.sheds_depth);
+    m.counter("server_shed_total", obs::label("reason", "bytes", "node", s))
+        .set(st.sheds_bytes);
+    put("server_cache_hits_total", st.cache_hits);
+    put("server_cache_misses_total", st.cache_misses);
+    put("server_cache_readahead_issued_total", st.cache_readahead_issued);
+    put("server_cache_evictions_total", st.cache_evictions);
+    put("server_cache_dirty_flushed_bytes_total", st.cache_dirty_flushed_bytes);
+    put("server_dataloop_cache_hits_total", st.dataloop_cache_hits);
+    put("server_dataloop_cache_misses_total",
+        config_.server.dataloop_cache ? st.dataloops_decoded : 0);
+    put("server_crash_discarded_total", st.crash_discarded);
+    // Feature families register only with their feature on, so default
+    // exports stay unchanged.
+    if (config_.replication > 1) {
+      put("server_resync_strips_pulled_total", st.resync_strips_pulled);
+      put("server_resync_bytes_pulled_total", st.resync_bytes_pulled);
+    }
+    if (config_.server.block_checksums) {
+      m.counter("server_media_errors_total",
+                obs::label("kind", "sector", "node", s))
+          .set(st.media_sector_errors);
+      m.counter("server_media_errors_total",
+                obs::label("kind", "bit_rot", "node", s))
+          .set(st.media_bit_rot_detected);
+      m.counter("server_media_errors_total",
+                obs::label("kind", "torn", "node", s))
+          .set(st.media_torn_detected);
+      put("server_checksum_mismatches_total", st.checksum_mismatches);
+      put("server_scrub_blocks_total", st.scrub_blocks);
+      put("server_scrub_repairs_total", st.scrub_repairs);
+      put("server_scrub_errors_total", st.scrub_errors);
+    }
+    if (config_.meta_shards > 1 && server(s).is_meta_shard()) {
+      for (std::size_t i = 0; i < st.meta_ops_by_op.size(); ++i) {
+        m.counter("meta_ops_total",
+                  obs::label("op", kMetaOpNames[i], "shard", s))
+            .set(st.meta_ops_by_op[i]);
+      }
+      m.counter("meta_lock_waits_total", obs::label("shard", s))
+          .set(st.lock_waits);
+    }
+  }
+
+  for (const Client* client : clients_) {
+    if (client->observability() != obs_) continue;
+    const std::string node = obs::label("node", client->node_id());
+    const auto put = [&](std::string_view name, std::uint64_t value) {
+      m.counter(name, node).set(value);
+    };
+    put("client_hedges_issued_total", client->hedges_issued());
+    put("client_hedges_won_total", client->hedges_won());
+    put("client_hedges_suppressed_total", client->hedges_suppressed());
+    put("client_overloaded_total", client->overloads_seen());
+    put("client_breaker_fast_fails_total", client->breaker_fast_fails());
+    put("client_retries_total", client->rpc_retries());
+    put("client_rpc_timeouts_total", client->rpc_timeouts());
+    if (client->effective_replication() > 1) {
+      put("client_read_failovers_total", client->read_failovers());
+      put("client_quorum_writes_total", client->quorum_writes());
+    }
+    if (client->data_loss_surfaced() > 0) {
+      put("client_data_loss_total", client->data_loss_surfaced());
+    }
+    if (client->wb_staged_ops() > 0) {
+      put("client_wb_staged_bytes_total", client->wb_staged_bytes());
+      put("client_wb_coalesced_ops_total", client->wb_coalesced_ops());
+    }
+    for (const auto& [reason, n] : client->wb_flushes_by_reason()) {
+      m.counter("client_wb_flushes_total",
+                obs::label("reason", reason, "node", client->node_id()))
+          .set(n);
+    }
   }
 }
 

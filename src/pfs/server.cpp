@@ -154,6 +154,63 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
 
 }  // namespace
 
+ServerStats& ServerStats::operator+=(const ServerStats& o) noexcept {
+  requests += o.requests;
+  regions_walked += o.regions_walked;
+  my_pieces += o.my_pieces;
+  bytes_read += o.bytes_read;
+  bytes_written += o.bytes_written;
+  dataloops_decoded += o.dataloops_decoded;
+  dataloop_cache_hits += o.dataloop_cache_hits;
+  bad_requests += o.bad_requests;
+  subtrees_skipped += o.subtrees_skipped;
+  pieces_pruned += o.pieces_pruned;
+  crashes += o.crashes;
+  crash_discarded += o.crash_discarded;
+  replays_suppressed += o.replays_suppressed;
+  crc_rejects += o.crc_rejects;
+  sheds_depth += o.sheds_depth;
+  sheds_bytes += o.sheds_bytes;
+  max_backlog = std::max(max_backlog, o.max_backlog);
+  degraded_requests += o.degraded_requests;
+  replays_expired += o.replays_expired;
+  disk_accesses += o.disk_accesses;
+  disk_bytes += o.disk_bytes;
+  cache_hits += o.cache_hits;
+  cache_misses += o.cache_misses;
+  cache_readahead_issued += o.cache_readahead_issued;
+  cache_evictions += o.cache_evictions;
+  cache_dirty_flushed_bytes += o.cache_dirty_flushed_bytes;
+  cache_dirty_lost_bytes += o.cache_dirty_lost_bytes;
+  batch_requests += o.batch_requests;
+  batch_sub_ops += o.batch_sub_ops;
+  batch_subs_replayed += o.batch_subs_replayed;
+  resyncs += o.resyncs;
+  resync_strips_pulled += o.resync_strips_pulled;
+  resync_bytes_pulled += o.resync_bytes_pulled;
+  resync_peers_skipped += o.resync_peers_skipped;
+  resync_served += o.resync_served;
+  resync_refused += o.resync_refused;
+  media_sector_errors += o.media_sector_errors;
+  media_bit_rot_detected += o.media_bit_rot_detected;
+  media_torn_detected += o.media_torn_detected;
+  checksum_mismatches += o.checksum_mismatches;
+  media_repairs += o.media_repairs;
+  media_repair_failures += o.media_repair_failures;
+  media_data_loss += o.media_data_loss;
+  scrub_passes += o.scrub_passes;
+  scrub_blocks += o.scrub_blocks;
+  scrub_repairs += o.scrub_repairs;
+  scrub_errors += o.scrub_errors;
+  meta_ops += o.meta_ops;
+  for (std::size_t i = 0; i < meta_ops_by_op.size(); ++i) {
+    meta_ops_by_op[i] += o.meta_ops_by_op[i];
+  }
+  lock_waits += o.lock_waits;
+  lock_regrants += o.lock_regrants;
+  return *this;
+}
+
 IOServer::IOServer(sim::Scheduler& sched, net::Network& network,
                    const net::ClusterConfig& config, int server_index)
     : sched_(&sched),
@@ -186,112 +243,6 @@ IOServer::IOServer(sim::Scheduler& sched, net::Network& network,
 
 void IOServer::start() { sched_->spawn(run()); }
 
-void IOServer::set_observability(obs::Observability* obs) {
-  obs_ = obs;
-  if (obs == nullptr) {
-    obs_requests_ = nullptr;
-    obs_disk_bytes_ = nullptr;
-    obs_subtrees_skipped_ = nullptr;
-    obs_pieces_pruned_ = nullptr;
-    obs_replays_ = nullptr;
-    obs_crashes_ = nullptr;
-    obs_crc_rejects_ = nullptr;
-    obs_shed_depth_ = nullptr;
-    obs_shed_bytes_ = nullptr;
-    obs_cache_hits_ = nullptr;
-    obs_cache_misses_ = nullptr;
-    obs_cache_readahead_ = nullptr;
-    obs_cache_evictions_ = nullptr;
-    obs_cache_flushed_ = nullptr;
-    obs_dl_cache_hits_ = nullptr;
-    obs_dl_cache_misses_ = nullptr;
-    obs_crash_discarded_ = nullptr;
-    obs_resync_strips_ = nullptr;
-    obs_resync_bytes_ = nullptr;
-    obs_media_sector_ = nullptr;
-    obs_media_rot_ = nullptr;
-    obs_media_torn_ = nullptr;
-    obs_checksum_mismatch_ = nullptr;
-    obs_scrub_blocks_ = nullptr;
-    obs_scrub_repairs_ = nullptr;
-    obs_scrub_errors_ = nullptr;
-    for (auto*& c : obs_meta_ops_) c = nullptr;
-    obs_meta_lock_waits_ = nullptr;
-    return;
-  }
-  obs_requests_ = &obs->metrics.counter(
-      "server_requests_total", obs::label("node", server_index_));
-  obs_disk_bytes_ = &obs->metrics.counter(
-      "server_disk_bytes_total", obs::label("node", server_index_));
-  obs_subtrees_skipped_ = &obs->metrics.counter(
-      "server_subtrees_skipped_total", obs::label("node", server_index_));
-  obs_pieces_pruned_ = &obs->metrics.counter(
-      "server_pieces_pruned_total", obs::label("node", server_index_));
-  obs_replays_ = &obs->metrics.counter(
-      "server_replays_suppressed_total", obs::label("node", server_index_));
-  obs_crashes_ = &obs->metrics.counter(
-      "server_crashes_total", obs::label("node", server_index_));
-  obs_crc_rejects_ = &obs->metrics.counter(
-      "server_crc_rejects_total", obs::label("node", server_index_));
-  obs_shed_depth_ = &obs->metrics.counter(
-      "server_shed_total", obs::label("reason", "depth", "node", server_index_));
-  obs_shed_bytes_ = &obs->metrics.counter(
-      "server_shed_total", obs::label("reason", "bytes", "node", server_index_));
-  obs_cache_hits_ = &obs->metrics.counter(
-      "server_cache_hits_total", obs::label("node", server_index_));
-  obs_cache_misses_ = &obs->metrics.counter(
-      "server_cache_misses_total", obs::label("node", server_index_));
-  obs_cache_readahead_ = &obs->metrics.counter(
-      "server_cache_readahead_issued_total", obs::label("node", server_index_));
-  obs_cache_evictions_ = &obs->metrics.counter(
-      "server_cache_evictions_total", obs::label("node", server_index_));
-  obs_cache_flushed_ = &obs->metrics.counter(
-      "server_cache_dirty_flushed_bytes_total",
-      obs::label("node", server_index_));
-  obs_dl_cache_hits_ = &obs->metrics.counter(
-      "server_dataloop_cache_hits_total", obs::label("node", server_index_));
-  obs_dl_cache_misses_ = &obs->metrics.counter(
-      "server_dataloop_cache_misses_total", obs::label("node", server_index_));
-  obs_crash_discarded_ = &obs->metrics.counter(
-      "server_crash_discarded_total", obs::label("node", server_index_));
-  if (config_->replication > 1) {
-    obs_resync_strips_ = &obs->metrics.counter(
-        "server_resync_strips_pulled_total", obs::label("node", server_index_));
-    obs_resync_bytes_ = &obs->metrics.counter(
-        "server_resync_bytes_pulled_total", obs::label("node", server_index_));
-  }
-  if (config_->server.block_checksums) {
-    obs_media_sector_ = &obs->metrics.counter(
-        "server_media_errors_total",
-        obs::label("kind", "sector", "node", server_index_));
-    obs_media_rot_ = &obs->metrics.counter(
-        "server_media_errors_total",
-        obs::label("kind", "bit_rot", "node", server_index_));
-    obs_media_torn_ = &obs->metrics.counter(
-        "server_media_errors_total",
-        obs::label("kind", "torn", "node", server_index_));
-    obs_checksum_mismatch_ = &obs->metrics.counter(
-        "server_checksum_mismatches_total", obs::label("node", server_index_));
-    obs_scrub_blocks_ = &obs->metrics.counter(
-        "server_scrub_blocks_total", obs::label("node", server_index_));
-    obs_scrub_repairs_ = &obs->metrics.counter(
-        "server_scrub_repairs_total", obs::label("node", server_index_));
-    obs_scrub_errors_ = &obs->metrics.counter(
-        "server_scrub_errors_total", obs::label("node", server_index_));
-  }
-  if (config_->meta_shards > 1 && is_meta_shard()) {
-    static constexpr const char* kMetaOpNames[6] = {
-        "create", "open", "remove", "stat", "lock", "unlock"};
-    for (int i = 0; i < 6; ++i) {
-      obs_meta_ops_[i] = &obs->metrics.counter(
-          "meta_ops_total",
-          obs::label("op", kMetaOpNames[i], "shard", server_index_));
-    }
-    obs_meta_lock_waits_ = &obs->metrics.counter(
-        "meta_lock_waits_total", obs::label("shard", server_index_));
-  }
-}
-
 void IOServer::schedule_crash(SimTime at, SimTime restart_delay) {
   sched_->schedule_call(at, [this] { crash(); });
   sched_->schedule_call(at + restart_delay, [this] { restart(); });
@@ -302,12 +253,11 @@ void IOServer::crash() {
   crashed_ = true;
   ++epoch_;
   ++stats_.crashes;
-  if (obs_ != nullptr) obs_crashes_->add(1);
+  if (obs_ != nullptr) {
+    obs_->spans.sample("server_up", server_index_, sched_->now(), 0);
+  }
   const std::size_t dropped = network_->mailbox(server_index_).clear_queue();
   stats_.crash_discarded += dropped;
-  if (obs_ != nullptr && dropped > 0) {
-    obs_crash_discarded_->add(static_cast<std::uint64_t>(dropped));
-  }
   // Process state dies with the process: decoded-datatype cache and the
   // replay window restart cold. Namespace, bstreams, and the whole-file
   // lock table model durable storage and survive.
@@ -333,8 +283,6 @@ void IOServer::crash() {
     // pending; write-back loses whatever was staged but never flushed.
     std::vector<cache::IoSeg> lost_extents;
     cache::BlockCache::LostDataSink torn;
-    std::uint64_t torn_bytes = 0;
-    std::uint64_t torn_extents = 0;
     if (media_.spec.torn_writes) {
       // Torn writes: each in-flight dirty extent lands a random prefix of
       // its staged bytes on the medium — raw, with no checksum fix-up —
@@ -345,19 +293,11 @@ void IOServer::crash() {
         const auto applied = static_cast<std::int64_t>(media_.rng.next_below(
             static_cast<std::uint64_t>(seg.bytes) + 1));
         primary_bstream(seg.handle).torn_write(seg.offset, bytes, applied);
-        if (applied > 0) {
-          torn_bytes += static_cast<std::uint64_t>(applied);
-          ++torn_extents;
-        }
       };
     }
     const std::uint64_t lost = cache_->drop_all(
         config_->replication > 1 ? &lost_extents : nullptr, torn);
     stats_.cache_dirty_lost_bytes += lost;
-    if (tracer_ != nullptr && torn_extents > 0) {
-      tracer_->record({sched_->now(), "torn_write", server_index_, -1, 0,
-                       torn_bytes, ""});
-    }
     // Replication: the lost dirty bytes never reached this server's
     // bstream, so its copy of every covered strip trails the epoch it
     // already advertised. Zero those epochs — restart resync then
@@ -371,14 +311,6 @@ void IOServer::crash() {
         strip_epochs_[{seg.handle, server_index_, s}] = 0;
       }
     }
-    if (tracer_ != nullptr && lost > 0) {
-      tracer_->record({sched_->now(), "cache_lost", server_index_, -1, 0,
-                       lost, ""});
-    }
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "crash", server_index_, -1, 0,
-                     static_cast<std::uint64_t>(dropped), ""});
   }
   DTIO_DEBUG("srv" << server_index_ << " CRASH, dropped " << dropped
                    << " queued messages");
@@ -387,8 +319,8 @@ void IOServer::crash() {
 void IOServer::restart() {
   if (!crashed_) return;
   crashed_ = false;
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "restart", server_index_, -1, 0, 0, ""});
+  if (obs_ != nullptr) {
+    obs_->spans.sample("server_up", server_index_, sched_->now(), 1);
   }
   DTIO_DEBUG("srv" << server_index_ << " restart");
   if (std::min(config_->replication, config_->num_servers) > 1) {
@@ -429,6 +361,43 @@ void IOServer::note_strip_writes(std::uint64_t handle, int primary,
   }
 }
 
+std::vector<int> IOServer::ring_peers(int base, int lo, int hi) const {
+  const int n = config_->num_servers;
+  std::vector<int> peers;
+  for (int d = lo; d <= hi; ++d) {
+    const int peer = ((base + d) % n + n) % n;
+    if (peer != server_index_ &&
+        std::find(peers.begin(), peers.end(), peer) == peers.end()) {
+      peers.push_back(peer);
+    }
+  }
+  return peers;
+}
+
+sim::Task<std::optional<Reply>> IOServer::pull_from_peer(
+    int peer, ResyncPayload& payload, std::uint64_t my_epoch) {
+  Request req;
+  req.op = OpKind::kResyncPull;
+  req.client_node = server_index_;
+  req.reply_tag = kTagReplyBase + (++resync_reply_seq_);
+  payload.requester = server_index_;
+  req.payload = std::move(payload);
+  const std::uint64_t tag = req.reply_tag;
+  const std::uint64_t wire =
+      config_->net.per_message_overhead_bytes +
+      request_descriptor_bytes(req, config_->list_io_bytes_per_region);
+  co_await network_->send(
+      server_index_, peer,
+      sim::Message(server_index_, kTagRequest, wire, std::move(req)));
+  if (crashed_ || epoch_ != my_epoch) co_return std::nullopt;
+  auto maybe = co_await network_->mailbox(server_index_).recv_for(
+      peer, tag, kResyncPullTimeout);
+  if (!maybe.has_value() || crashed_ || epoch_ != my_epoch) {
+    co_return std::nullopt;
+  }
+  co_return maybe->take<Reply>();
+}
+
 sim::Task<void> IOServer::resync() {
   ++stats_.resyncs;
   const std::uint64_t my_epoch = epoch_;
@@ -437,59 +406,31 @@ sim::Task<void> IOServer::resync() {
     span = obs_->spans.begin("server_resync", server_index_, sched_->now(), 0,
                              0, obs::Phase::kServerResync);
   }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "resync_begin", server_index_, -1, 0, 0,
-                     ""});
-  }
-  const int n = config_->num_servers;
-  const int r = std::min(config_->replication, n);
+  const int r = std::min(config_->replication, config_->num_servers);
   std::uint64_t pulled_strips = 0;
   std::uint64_t pulled_bytes = 0;
   // Peers sharing strips with this server: the r-1 servers before it (we
   // replicate their primaries) and the r-1 after (they replicate ours).
-  std::vector<int> peers;
-  for (int d = -(r - 1); d <= r - 1; ++d) {
-    if (d == 0) continue;
-    const int peer = ((server_index_ + d) % n + n) % n;
-    if (peer != server_index_ &&
-        std::find(peers.begin(), peers.end(), peer) == peers.end()) {
-      peers.push_back(peer);
-    }
-  }
-  for (const int peer : peers) {
+  for (const int peer : ring_peers(server_index_, -(r - 1), r - 1)) {
     bool ok = false;
     for (int attempt = 0; attempt < kResyncPullAttempts && !ok; ++attempt) {
       // Rebuilt per attempt: extents already applied from an earlier peer
       // raised our epochs, so later peers only ship what is still stale.
-      Request req;
-      req.op = OpKind::kResyncPull;
-      req.client_node = server_index_;
-      req.reply_tag = kTagReplyBase + (++resync_reply_seq_);
       ResyncPayload payload;
-      payload.requester = server_index_;
       payload.epochs.reserve(strip_epochs_.size());
       for (const auto& [key, epoch] : strip_epochs_) {
         payload.epochs.push_back(StripEpoch{std::get<0>(key), std::get<1>(key),
                                             std::get<2>(key), epoch});
       }
-      req.payload = std::move(payload);
-      const std::uint64_t tag = req.reply_tag;
-      const std::uint64_t wire =
-          config_->net.per_message_overhead_bytes +
-          request_descriptor_bytes(req, config_->list_io_bytes_per_region);
-      co_await network_->send(
-          server_index_, peer,
-          sim::Message(server_index_, kTagRequest, wire, std::move(req)));
-      auto maybe = co_await network_->mailbox(server_index_).recv_for(
-          peer, tag, kResyncPullTimeout);
+      std::optional<Reply> reply =
+          co_await pull_from_peer(peer, payload, my_epoch);
       if (crashed_ || epoch_ != my_epoch) {
         // Crashed again mid-resync: the next restart owns recovery.
         if (obs_ != nullptr) obs_->spans.end(span, sched_->now());
         co_return;
       }
-      if (!maybe.has_value()) continue;  // pull timed out; retry
-      Reply reply = maybe->take<Reply>();
-      if (!reply.ok) {
+      if (!reply.has_value()) continue;  // pull timed out; retry
+      if (!reply->ok) {
         // Peer refused — typically because it is resyncing itself. Give it
         // one deadline's worth of time and try again.
         co_await sched_->delay(kResyncPullTimeout);
@@ -499,7 +440,7 @@ sim::Task<void> IOServer::resync() {
         }
         continue;
       }
-      for (ResyncExtent& ext : reply.resync) {
+      for (ResyncExtent& ext : reply->resync) {
         auto& current = strip_epochs_[{ext.handle, ext.primary, ext.strip}];
         if (ext.epoch <= current) continue;  // an earlier peer caught us up
         Bstream& target =
@@ -533,18 +474,10 @@ sim::Task<void> IOServer::resync() {
   stats_.resync_strips_pulled += pulled_strips;
   stats_.resync_bytes_pulled += pulled_bytes;
   if (obs_ != nullptr) {
-    if (obs_resync_strips_ != nullptr && pulled_strips > 0) {
-      obs_resync_strips_->add(pulled_strips);
-      obs_resync_bytes_->add(pulled_bytes);
-    }
     obs_->spans.set_value(span, static_cast<std::int64_t>(pulled_bytes));
     obs_->spans.end(span, sched_->now());
   }
   resyncing_ = false;
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "resync_done", server_index_, -1, 0,
-                     pulled_bytes, ""});
-  }
   DTIO_DEBUG("srv" << server_index_ << " resync done: " << pulled_strips
                    << " strips, " << pulled_bytes << " bytes");
   // Resync pulls are normal writes (fresh fault draws included), so the
@@ -724,20 +657,7 @@ sim::Task<void> IOServer::shed_request(Box<Request> boxed, const char* reason) {
   req_degrade_ = degraded_factor_now();
   if (obs_ != nullptr) record_queue_wait(request);
   const bool by_bytes = reason[0] == 'b';
-  if (by_bytes) {
-    ++stats_.sheds_bytes;
-    if (obs_ != nullptr) obs_shed_bytes_->add(1);
-  } else {
-    ++stats_.sheds_depth;
-    if (obs_ != nullptr) obs_shed_depth_->add(1);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "shed", server_index_, request.client_node,
-                     request.reply_tag,
-                     static_cast<std::uint64_t>(
-                         network_->mailbox(server_index_).queued()),
-                     reason});
-  }
+  ++(by_bytes ? stats_.sheds_bytes : stats_.sheds_depth);
   DTIO_DEBUG("srv" << server_index_ << " SHED " << op_name(request.op)
                    << " from node " << request.client_node << " (" << reason
                    << ")");
@@ -812,7 +732,6 @@ sim::Task<void> IOServer::run() {
       // The process is down: the message was consumed off the wire but
       // nobody is listening. The client's timeout will notice.
       ++stats_.crash_discarded;
-      if (obs_ != nullptr) obs_crash_discarded_->add(1);
       continue;
     }
     const auto backlog = static_cast<std::uint64_t>(mailbox.queued());
@@ -849,11 +768,6 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   ++stats_.requests;
   DTIO_DEBUG("srv" << server_index_ << " <- " << op_name(request.op)
                    << " from node " << request.client_node);
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "request", server_index_,
-                     request.client_node, request.reply_tag, 0,
-                     op_name(request.op)});
-  }
   req_trace_ = request.trace_id;
   req_span_ = 0;
   req_epoch_ = epoch_;
@@ -862,7 +776,6 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   req_degrade_ = degraded_factor_now();
   if (req_degrade_ > 1.0) ++stats_.degraded_requests;
   if (obs_ != nullptr) {
-    obs_requests_->add(1);
     record_queue_wait(request);
     req_span_ = obs_->spans.begin("server_handle", server_index_,
                                   sched_->now(), request.parent_span,
@@ -906,11 +819,6 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
       } else {
         reply.code = StatusCode::kUnavailable;
       }
-      if (tracer_ != nullptr) {
-        tracer_->record({sched_->now(), "resync_refuse", server_index_,
-                         request.client_node, request.reply_tag, 0,
-                         op_name(request.op)});
-      }
       send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
       if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
       co_return;
@@ -926,12 +834,6 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
         replay_acks_.find(replay_key(request.client_node, request.op_seq));
     if (it != replay_acks_.end()) {
       ++stats_.replays_suppressed;
-      if (obs_ != nullptr) obs_replays_->add(1);
-      if (tracer_ != nullptr) {
-        tracer_->record({sched_->now(), "replay", server_index_,
-                         request.client_node, request.reply_tag, 0,
-                         op_name(request.op)});
-      }
       send_reply(request.client_node, request.reply_tag, Reply(it->second), 0);
       if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
       co_return;
@@ -944,12 +846,6 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   if (!verify_integrity(request, integrity)) {
     ++stats_.bad_requests;
     ++stats_.crc_rejects;
-    if (obs_ != nullptr) obs_crc_rejects_->add(1);
-    if (tracer_ != nullptr) {
-      tracer_->record({sched_->now(), "crc_reject", server_index_,
-                       request.client_node, request.reply_tag, 0,
-                       op_name(request.op)});
-    }
     send_reply(request.client_node, request.reply_tag, std::move(integrity),
                0);
     if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
@@ -987,7 +883,6 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
         } else {
           // Grant deferred until the current holder unlocks.
           ++stats_.lock_waits;
-          if (obs_meta_lock_waits_ != nullptr) obs_meta_lock_waits_->add(1);
         }
         break;
       }
@@ -1099,11 +994,6 @@ sim::Task<void> IOServer::handle_data(Request& request) {
     skipped = cursor.subtrees_skipped();
     stats_.subtrees_skipped += static_cast<std::uint64_t>(skipped);
     stats_.pieces_pruned += static_cast<std::uint64_t>(cursor.regions_pruned());
-    if (obs_ != nullptr && skipped > 0) {
-      obs_subtrees_skipped_->add(static_cast<std::uint64_t>(skipped));
-      obs_pieces_pruned_->add(
-          static_cast<std::uint64_t>(cursor.regions_pruned()));
-    }
     per_region = is_write ? sc.per_dataloop_region_cost_write
                           : sc.per_dataloop_region_cost;
   }
@@ -1154,7 +1044,6 @@ sim::Task<dl::DataloopPtr> IOServer::load_dataloop(Request& request) {
       loop_cache_order_.splice(loop_cache_order_.end(), loop_cache_order_,
                                it->second.pos);
       ++stats_.dataloop_cache_hits;
-      if (obs_ != nullptr) obs_dl_cache_hits_->add(1);
     }
   }
   if (!loop) {
@@ -1165,9 +1054,6 @@ sim::Task<dl::DataloopPtr> IOServer::load_dataloop(Request& request) {
       co_return nullptr;
     }
     ++stats_.dataloops_decoded;
-    if (config_->server.dataloop_cache && obs_ != nullptr) {
-      obs_dl_cache_misses_->add(1);
-    }
     obs::SpanId decode_span = 0;
     if (obs_ != nullptr) {
       decode_span = obs_->spans.begin("dataloop_decode", server_index_,
@@ -1234,14 +1120,12 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
       acked_bytes += sub.length;
       ++stats_.replays_suppressed;
       ++stats_.batch_subs_replayed;
-      if (obs_ != nullptr) obs_replays_->add(1);
       continue;
     }
     if (sub.has_payload_crc && sub.data && crc32(*sub.data) != sub.payload_crc) {
       // Leave this sub-op unacked: the retry resends it with clean data
       // while the acked sub-ops are stripped client-side.
       ++stats_.crc_rejects;
-      if (obs_ != nullptr) obs_crc_rejects_->add(1);
       crc_fail = true;
       continue;
     }
@@ -1336,11 +1220,9 @@ void IOServer::finish_data_reply(Request& request, std::int64_t my_bytes,
 
 void IOServer::count_meta_op(OpKind op) noexcept {
   ++stats_.meta_ops;
-  const int idx =
-      static_cast<int>(op) - static_cast<int>(OpKind::kMetaCreate);
-  if (idx >= 0 && idx < 6 && obs_meta_ops_[idx] != nullptr) {
-    obs_meta_ops_[idx]->add(1);
-  }
+  const auto idx = static_cast<std::size_t>(op) -
+                   static_cast<std::size_t>(OpKind::kMetaCreate);
+  if (idx < stats_.meta_ops_by_op.size()) ++stats_.meta_ops_by_op[idx];
 }
 
 void IOServer::handle_meta(Request& request, Reply& reply) {
@@ -1393,6 +1275,8 @@ void IOServer::handle_meta(Request& request, Reply& reply) {
         reply.error = "no such file: " + p.path;
         break;
       }
+      // Echo the removed handle so the client drops its cached layout.
+      reply.handle = it->second.handle;
       live_handles_.erase(it->second.handle);
       namespace_.erase(it);
       break;
@@ -1486,23 +1370,11 @@ IOServer::MediaCheck IOServer::check_media(
   return out;
 }
 
-void IOServer::note_media_errors(const MediaCheck& bad, const char* origin) {
+void IOServer::note_media_errors(const MediaCheck& bad) {
   stats_.media_sector_errors += bad.sector;
   stats_.media_bit_rot_detected += bad.rot;
   stats_.media_torn_detected += bad.torn;
   stats_.checksum_mismatches += bad.rot + bad.torn;
-  if (obs_ != nullptr && obs_media_sector_ != nullptr) {
-    if (bad.sector > 0) obs_media_sector_->add(bad.sector);
-    if (bad.rot > 0) obs_media_rot_->add(bad.rot);
-    if (bad.torn > 0) obs_media_torn_->add(bad.torn);
-    if (bad.rot + bad.torn > 0) {
-      obs_checksum_mismatch_->add(bad.rot + bad.torn);
-    }
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "media_error", server_index_, -1, 0,
-                     bad.sector + bad.rot + bad.torn, origin});
-  }
 }
 
 sim::Task<bool> IOServer::verify_read_media(Request& request, int primary,
@@ -1511,7 +1383,7 @@ sim::Task<bool> IOServer::verify_read_media(Request& request, int primary,
                                             DataBuffer& reply_data) {
   MediaCheck bad = check_media(target, visited);
   if (!bad.any()) co_return true;
-  note_media_errors(bad, "read");
+  note_media_errors(bad);
   const int r = std::min(config_->replication, config_->num_servers);
   if (r > 1) {
     const std::size_t wanted = bad.strips.size();
@@ -1572,31 +1444,16 @@ sim::Task<bool> IOServer::verify_read_media(Request& request, int primary,
 sim::Task<std::uint64_t> IOServer::repair_strips(
     std::uint64_t handle, int primary, std::vector<std::int64_t> strips) {
   const std::uint64_t my_epoch = epoch_;
-  const int n = config_->num_servers;
-  const int r = std::min(config_->replication, n);
+  const int r = std::min(config_->replication, config_->num_servers);
+  std::vector<std::int64_t> remaining = std::move(strips);
+  std::uint64_t repaired = 0;
   // Every other holder of `primary`'s strips on the ring: the primary
   // itself (when that is not us) first — its copy is authoritative for
   // write-back dirty data — then the replica holders in ring order.
-  std::vector<int> peers;
-  if (primary != server_index_) peers.push_back(primary);
-  for (int k = 1; k < r; ++k) {
-    const int peer = ((primary + k) % n + n) % n;
-    if (peer != server_index_ &&
-        std::find(peers.begin(), peers.end(), peer) == peers.end()) {
-      peers.push_back(peer);
-    }
-  }
-  std::vector<std::int64_t> remaining = std::move(strips);
-  std::uint64_t repaired = 0;
-  for (const int peer : peers) {
+  for (const int peer : ring_peers(primary, 0, r - 1)) {
     if (remaining.empty()) break;
     for (int attempt = 0; attempt < kResyncPullAttempts; ++attempt) {
-      Request req;
-      req.op = OpKind::kResyncPull;
-      req.client_node = server_index_;
-      req.reply_tag = kTagReplyBase + (++resync_reply_seq_);
       ResyncPayload payload;
-      payload.requester = server_index_;
       payload.scoped = true;
       payload.epochs.reserve(remaining.size());
       for (const std::int64_t s : remaining) {
@@ -1605,22 +1462,12 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
             handle, primary, s,
             eit == strip_epochs_.end() ? 0 : eit->second});
       }
-      req.payload = std::move(payload);
-      const std::uint64_t tag = req.reply_tag;
-      const std::uint64_t wire =
-          config_->net.per_message_overhead_bytes +
-          request_descriptor_bytes(req, config_->list_io_bytes_per_region);
-      co_await network_->send(
-          server_index_, peer,
-          sim::Message(server_index_, kTagRequest, wire, std::move(req)));
+      std::optional<Reply> reply =
+          co_await pull_from_peer(peer, payload, my_epoch);
       if (crashed_ || epoch_ != my_epoch) co_return repaired;
-      auto maybe = co_await network_->mailbox(server_index_).recv_for(
-          peer, tag, kResyncPullTimeout);
-      if (crashed_ || epoch_ != my_epoch) co_return repaired;
-      if (!maybe.has_value()) continue;  // pull timed out; retry this peer
-      Reply reply = maybe->take<Reply>();
-      if (!reply.ok) break;  // peer resyncing — move on to the next peer
-      for (ResyncExtent& ext : reply.resync) {
+      if (!reply.has_value()) continue;  // pull timed out; retry this peer
+      if (!reply->ok) break;  // peer resyncing — move on to the next peer
+      for (ResyncExtent& ext : reply->resync) {
         if (!ext.data || ext.data->empty()) continue;
         Bstream& target = ext.primary == server_index_
                               ? primary_bstream(ext.handle)
@@ -1637,10 +1484,6 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
             remaining.end());
         ++repaired;
         ++stats_.disk_accesses;
-        if (tracer_ != nullptr) {
-          tracer_->record({sched_->now(), "repair", server_index_, peer, 0,
-                           static_cast<std::uint64_t>(ext.length), ""});
-        }
         co_await disk_.use(
             config_->server.disk_access_overhead +
             transfer_time(static_cast<std::uint64_t>(ext.length),
@@ -1719,7 +1562,6 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
       const auto pages = static_cast<std::uint64_t>(
           (len + Bstream::kPageSize - 1) / Bstream::kPageSize);
       stats_.scrub_blocks += pages;
-      if (obs_scrub_blocks_ != nullptr) obs_scrub_blocks_->add(pages);
       ++stats_.disk_accesses;
       co_await disk_.use(
           config_->server.disk_access_overhead +
@@ -1731,7 +1573,7 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
       }
       if (!found.empty()) {
         MediaCheck check = check_media(bs, {Region{offset, len}});
-        note_media_errors(check, "scrub");
+        note_media_errors(check);
         if (r > 1) {
           const std::size_t wanted = check.strips.size();
           const std::uint64_t repaired =
@@ -1746,31 +1588,12 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
             stats_.media_repair_failures +=
                 static_cast<std::uint64_t>(wanted) - repaired;
           }
-          if (repaired > 0) {
-            if (obs_scrub_repairs_ != nullptr) {
-              obs_scrub_repairs_->add(repaired);
-            }
-            if (tracer_ != nullptr) {
-              tracer_->record({sched_->now(), "scrub_repair", server_index_,
-                               -1, 0, repaired, ""});
-            }
-          }
-          const std::vector<Bstream::BadPage> still =
-              bs.verify_range(offset, len);
-          if (!still.empty()) {
-            stats_.scrub_errors += still.size();
-            if (obs_scrub_errors_ != nullptr) {
-              obs_scrub_errors_->add(still.size());
-            }
-          }
+          stats_.scrub_errors += bs.verify_range(offset, len).size();
         } else {
           // Replication 1: nothing to repair from. Counted once per full
           // cycle — a quiescent store stops cycling, so a permanently bad
           // page does not inflate the counter forever.
           stats_.scrub_errors += found.size();
-          if (obs_scrub_errors_ != nullptr) {
-            obs_scrub_errors_->add(found.size());
-          }
         }
       }
       offset += len;
@@ -1784,9 +1607,9 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
 sim::Task<void> IOServer::charge_disk(std::int64_t bytes) {
   if (bytes <= 0) co_return;
   ++stats_.disk_accesses;  // host-side tally; no simulated cost
+  stats_.disk_bytes += static_cast<std::uint64_t>(bytes);
   obs::SpanId disk_span = 0;
   if (obs_ != nullptr) {
-    obs_disk_bytes_->add(static_cast<std::uint64_t>(bytes));
     disk_span = obs_->spans.begin("disk", server_index_, sched_->now(),
                                   req_span_, req_trace_,
                                   obs::Phase::kServerDisk);
@@ -1814,40 +1637,13 @@ sim::Task<void> IOServer::charge_disk(std::int64_t bytes) {
 sim::Fire IOServer::disk_drain(SimTime hold) { co_await disk_.use(hold); }
 
 sim::Task<void> IOServer::charge_cache_plan(cache::AccessPlan plan) {
-  // Mirror the per-request cache counters into stats/obs/trace first, so
-  // they land even for a plan with no disk work (pure hits).
+  // Count the per-request cache events first, so they land even for a
+  // plan with no disk work (pure hits).
   stats_.cache_hits += plan.hits;
   stats_.cache_misses += plan.misses;
   stats_.cache_readahead_issued += plan.readahead_blocks;
   stats_.cache_evictions += plan.evictions;
   stats_.cache_dirty_flushed_bytes += plan.flushed_bytes;
-  if (obs_ != nullptr) {
-    if (plan.hits > 0) obs_cache_hits_->add(plan.hits);
-    if (plan.misses > 0) obs_cache_misses_->add(plan.misses);
-    if (plan.readahead_blocks > 0) {
-      obs_cache_readahead_->add(plan.readahead_blocks);
-    }
-    if (plan.evictions > 0) obs_cache_evictions_->add(plan.evictions);
-    if (plan.flushed_bytes > 0) obs_cache_flushed_->add(plan.flushed_bytes);
-  }
-  if (tracer_ != nullptr) {
-    if (plan.hits > 0) {
-      tracer_->record({sched_->now(), "cache_hit", server_index_, -1, 0,
-                       plan.hits, ""});
-    }
-    if (plan.misses > 0) {
-      tracer_->record({sched_->now(), "cache_miss", server_index_, -1, 0,
-                       plan.misses, ""});
-    }
-    if (plan.readahead_blocks > 0) {
-      tracer_->record({sched_->now(), "cache_readahead", server_index_, -1, 0,
-                       plan.readahead_blocks, ""});
-    }
-    if (plan.flushed_bytes > 0) {
-      tracer_->record({sched_->now(), "cache_flush", server_index_, -1, 0,
-                       plan.flushed_bytes, ""});
-    }
-  }
 
   // Synchronous segments — miss fills the reply is waiting on and
   // write-through stores — block the handler with the same pipelined
@@ -1858,9 +1654,9 @@ sim::Task<void> IOServer::charge_cache_plan(cache::AccessPlan plan) {
        {&plan.sync_reads, &plan.sync_writes}) {
     for (const cache::IoSeg& seg : *segs) sync_bytes += seg.bytes;
   }
+  stats_.disk_bytes += static_cast<std::uint64_t>(sync_bytes);
   obs::SpanId disk_span = 0;
   if (obs_ != nullptr && sync_bytes > 0) {
-    obs_disk_bytes_->add(static_cast<std::uint64_t>(sync_bytes));
     // Typed kServerCache (not kServerDisk): this is the cache-mediated
     // portion — miss fills and write-through stores the reply waited on.
     disk_span = obs_->spans.begin("disk", server_index_, sched_->now(),
@@ -1896,9 +1692,7 @@ sim::Task<void> IOServer::charge_cache_plan(cache::AccessPlan plan) {
        {&plan.async_reads, &plan.async_writes}) {
     for (const cache::IoSeg& seg : *segs) {
       ++stats_.disk_accesses;
-      if (obs_ != nullptr) {
-        obs_disk_bytes_->add(static_cast<std::uint64_t>(seg.bytes));
-      }
+      stats_.disk_bytes += static_cast<std::uint64_t>(seg.bytes);
       sched_->start(disk_drain(
           scaled(config_->server.disk_access_overhead +
                  transfer_time(static_cast<std::uint64_t>(seg.bytes),

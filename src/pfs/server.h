@@ -11,11 +11,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -37,11 +39,12 @@
 #include "pfs/protocol.h"
 #include "sim/resource.h"
 #include "sim/scheduler.h"
-#include "sim/tracer.h"
 
 namespace dtio::pfs {
 
-/// Per-server instrumentation, inspected by benches and tests.
+/// Per-server instrumentation, inspected by benches and tests, and the
+/// only tally of every server event: Cluster::record_metrics() publishes
+/// these fields as the server_* / meta_* counters.
 struct ServerStats {
   std::uint64_t requests = 0;
   std::uint64_t regions_walked = 0;   ///< offset-length regions processed
@@ -67,6 +70,9 @@ struct ServerStats {
   std::uint64_t replays_expired = 0;    ///< replay acks evicted by age
   std::uint64_t disk_accesses = 0;      ///< disk ops charged (each pays one
                                         ///< disk_access_overhead)
+  std::uint64_t disk_bytes = 0;         ///< bytes of request and cache disk
+                                        ///< traffic (resync, repair and
+                                        ///< scrub I/O not included)
   std::uint64_t cache_hits = 0;         ///< buffer-cache block hits
   std::uint64_t cache_misses = 0;       ///< buffer-cache block miss fills
   std::uint64_t cache_readahead_issued = 0;  ///< blocks prefetched
@@ -99,8 +105,14 @@ struct ServerStats {
   // ---- Metadata shard service (this server's slice of the namespace and
   // lock space; nonzero only on servers with index < meta_shards).
   std::uint64_t meta_ops = 0;          ///< metadata + lock requests served
+  /// meta_ops split by op, indexed OpKind - kMetaCreate: create, open,
+  /// remove, stat, lock, unlock.
+  std::array<std::uint64_t, 6> meta_ops_by_op{};
   std::uint64_t lock_waits = 0;        ///< lock requests parked behind a holder
   std::uint64_t lock_regrants = 0;     ///< parked waiters re-granted at restart
+
+  /// Field-wise sum (fleet totals); max_backlog takes the maximum.
+  ServerStats& operator+=(const ServerStats& other) noexcept;
 };
 
 class IOServer {
@@ -117,7 +129,6 @@ class IOServer {
   [[nodiscard]] const Bstream* find_bstream(std::uint64_t handle) const;
   [[nodiscard]] sim::Resource& disk() noexcept { return disk_; }
   [[nodiscard]] sim::Resource& cpu() noexcept { return cpu_; }
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Fault injection: crash this server at simulated time `at` and bring
   /// it back `restart_delay` later. A crashed server loses its mailbox
@@ -153,9 +164,9 @@ class IOServer {
                                                     int primary) const;
 
   /// Attach the observability context (nullptr detaches). Not owned.
-  /// Request counters are resolved once here; the request loop then pays
-  /// one pointer test when detached.
-  void set_observability(obs::Observability* obs);
+  /// Spans and counter tracks only; counters are published from stats()
+  /// by Cluster::record_metrics().
+  void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
 
   /// The buffer cache, or nullptr when disabled (tests/benches).
   [[nodiscard]] const cache::BlockCache* block_cache() const noexcept {
@@ -239,6 +250,15 @@ class IOServer {
   /// Restart resync phase (replication > 1): pull every strip whose epoch
   /// trails a replica peer's, then clear resyncing_ and serve data again.
   sim::Task<void> resync();
+  /// Replica peers of `base`'s strips at ring offsets [lo, hi], in ring
+  /// order, without this server and without duplicates.
+  [[nodiscard]] std::vector<int> ring_peers(int base, int lo, int hi) const;
+  /// One kResyncPull RPC to `peer` carrying `payload`: nullopt when the
+  /// reply did not arrive within kResyncPullTimeout or this server crashed
+  /// meanwhile (epoch_ moved past `my_epoch`; callers tell the two apart).
+  sim::Task<std::optional<Reply>> pull_from_peer(int peer,
+                                                 ResyncPayload& payload,
+                                                 std::uint64_t my_epoch);
   /// Donor side of resync: answer a peer's kResyncPull with the extents
   /// (and epochs) of every shared strip this server is ahead on.
   sim::Task<void> handle_resync_pull(Request& request);
@@ -264,9 +284,8 @@ class IOServer {
   };
   [[nodiscard]] MediaCheck check_media(
       const Bstream& target, const std::vector<Region>& visited) const;
-  /// Count + export one access's detected media errors ("media_error"
-  /// trace; `origin` tags who found them: a read path or the scrubber).
-  void note_media_errors(const MediaCheck& bad, const char* origin);
+  /// Count one access's detected media errors.
+  void note_media_errors(const MediaCheck& bad);
   /// Post-walk verification for a data read: verify the visited extents
   /// of `target` (acting as `primary`), repair in-line from ring peers at
   /// replication > 1, and re-gather clean reply bytes. Returns true when
@@ -328,8 +347,8 @@ class IOServer {
   /// Charge the disk work a cached access generated: sync segments (miss
   /// fills, write-through stores) block the handler with the same
   /// pipelined shape as charge_disk; async segments (readahead, write-back
-  /// flushes) drain on the disk resource in the background. Also mirrors
-  /// the plan's cache counters into stats/obs/trace.
+  /// flushes) drain on the disk resource in the background. Also counts
+  /// the plan's cache events into stats_.
   sim::Task<void> charge_cache_plan(cache::AccessPlan plan);
   sim::Fire disk_drain(SimTime hold);
   /// Region-processing CPU: the handler blocks only for a prime batch of
@@ -346,8 +365,7 @@ class IOServer {
   /// utilization from busy_integral deltas), taken at request entry.
   void sample_counters();
 
-  /// Bumps the per-shard metadata instrumentation for a meta/lock request
-  /// (stats always; labelled counters only when registered).
+  /// Counts a meta/lock request in the per-shard metadata stats.
   void count_meta_op(OpKind op) noexcept;
 
   /// Emits the retroactive, typed "server_queue" span covering
@@ -362,44 +380,9 @@ class IOServer {
   FileLayout layout_;
   sim::Resource disk_;
   sim::Resource cpu_;
-  sim::Tracer* tracer_ = nullptr;
   ServerStats stats_;
 
   obs::Observability* obs_ = nullptr;
-  obs::Counter* obs_requests_ = nullptr;    ///< server_requests_total
-  obs::Counter* obs_disk_bytes_ = nullptr;  ///< server_disk_bytes_total
-  obs::Counter* obs_subtrees_skipped_ = nullptr;  ///< server_subtrees_skipped_total
-  obs::Counter* obs_pieces_pruned_ = nullptr;     ///< server_pieces_pruned_total
-  obs::Counter* obs_replays_ = nullptr;     ///< server_replays_suppressed_total
-  obs::Counter* obs_crashes_ = nullptr;     ///< server_crashes_total
-  obs::Counter* obs_crc_rejects_ = nullptr; ///< server_crc_rejects_total
-  obs::Counter* obs_shed_depth_ = nullptr;  ///< server_shed_total{reason=depth}
-  obs::Counter* obs_shed_bytes_ = nullptr;  ///< server_shed_total{reason=bytes}
-  obs::Counter* obs_cache_hits_ = nullptr;     ///< server_cache_hits_total
-  obs::Counter* obs_cache_misses_ = nullptr;   ///< server_cache_misses_total
-  obs::Counter* obs_cache_readahead_ = nullptr;  ///< server_cache_readahead_issued_total
-  obs::Counter* obs_cache_evictions_ = nullptr;  ///< server_cache_evictions_total
-  obs::Counter* obs_cache_flushed_ = nullptr;  ///< server_cache_dirty_flushed_bytes_total
-  obs::Counter* obs_dl_cache_hits_ = nullptr;  ///< server_dataloop_cache_hits_total
-  obs::Counter* obs_dl_cache_misses_ = nullptr;  ///< server_dataloop_cache_misses_total
-  obs::Counter* obs_crash_discarded_ = nullptr;  ///< server_crash_discarded_total
-  // Registered only at replication > 1 (the subsystem is otherwise inert).
-  obs::Counter* obs_resync_strips_ = nullptr;  ///< server_resync_strips_pulled_total
-  obs::Counter* obs_resync_bytes_ = nullptr;   ///< server_resync_bytes_pulled_total
-  // Registered only when ServerConfig::block_checksums is on (default
-  // metric exports stay byte-identical).
-  obs::Counter* obs_media_sector_ = nullptr;   ///< server_media_errors_total{kind=sector}
-  obs::Counter* obs_media_rot_ = nullptr;      ///< server_media_errors_total{kind=bit_rot}
-  obs::Counter* obs_media_torn_ = nullptr;     ///< server_media_errors_total{kind=torn}
-  obs::Counter* obs_checksum_mismatch_ = nullptr;  ///< server_checksum_mismatches_total
-  obs::Counter* obs_scrub_blocks_ = nullptr;   ///< server_scrub_blocks_total
-  obs::Counter* obs_scrub_repairs_ = nullptr;  ///< server_scrub_repairs_total
-  obs::Counter* obs_scrub_errors_ = nullptr;   ///< server_scrub_errors_total
-  // Registered only at meta_shards > 1 and on shard servers (the legacy
-  // single-shard metric exports stay byte-identical). Indexed by
-  // OpKind - kMetaCreate: create, open, remove, stat, lock, unlock.
-  obs::Counter* obs_meta_ops_[6] = {};         ///< meta_ops_total{op,shard}
-  obs::Counter* obs_meta_lock_waits_ = nullptr;  ///< meta_lock_waits_total
   // Trace context of the request currently being handled (requests are
   // handled sequentially, so plain members suffice).
   std::uint64_t req_trace_ = 0;

@@ -428,7 +428,7 @@ TEST(CacheCluster, WarmReadsHitAndObsCountersFlow) {
   cluster.run();
   EXPECT_TRUE(finished);
 
-  const pfs::ServerStats total = cluster.cache_stats_total();
+  const pfs::ServerStats total = cluster.server_stats_total();
   // The write populated the cache, so even the first read pass hits; the
   // second pass is all hits — across both passes hits dominate misses.
   EXPECT_GT(total.cache_hits, 0u);
@@ -443,6 +443,7 @@ TEST(CacheCluster, WarmReadsHitAndObsCountersFlow) {
   EXPECT_GT(static_cast<std::uint64_t>(staged) +
                 total.cache_dirty_flushed_bytes,
             0u);
+  cluster.record_metrics();
   EXPECT_EQ(obs.metrics.counter_total("server_cache_hits_total"),
             total.cache_hits);
   EXPECT_EQ(obs.metrics.counter_total("server_cache_misses_total"),
@@ -468,14 +469,15 @@ TEST(CacheCluster, WarmPassSavesDiskAccesses) {
           EXPECT_TRUE(f.status.is_ok());
           Status w = co_await c.write_contig(f.handle, 0, nullptr, 128 * 1024);
           EXPECT_TRUE(w.is_ok());
-          const std::uint64_t before = cluster.cache_stats_total().disk_accesses;
+          const std::uint64_t before =
+              cluster.server_stats_total().disk_accesses;
           Status r1 = co_await c.read_contig(f.handle, 0, nullptr, 128 * 1024);
           EXPECT_TRUE(r1.is_ok());
-          const std::uint64_t mid = cluster.cache_stats_total().disk_accesses;
+          const std::uint64_t mid = cluster.server_stats_total().disk_accesses;
           Status r2 = co_await c.read_contig(f.handle, 0, nullptr, 128 * 1024);
           EXPECT_TRUE(r2.is_ok());
           cold = mid - before;
-          warm = cluster.cache_stats_total().disk_accesses - mid;
+          warm = cluster.server_stats_total().disk_accesses - mid;
         }(cluster, *client, cold, warm));
     cluster.run();
     return std::make_pair(cold, warm);
@@ -505,7 +507,7 @@ TEST(CacheCluster, CacheOffLeavesStatsUntouched) {
   }(*client, finished));
   cluster.run();
   EXPECT_TRUE(finished);
-  const pfs::ServerStats total = cluster.cache_stats_total();
+  const pfs::ServerStats total = cluster.server_stats_total();
   EXPECT_EQ(total.cache_hits, 0u);
   EXPECT_EQ(total.cache_misses, 0u);
   EXPECT_GT(total.disk_accesses, 0u);  // legacy path still tallies

@@ -151,6 +151,7 @@ TEST(MediaFaults, ReadDetectsBitRotAndRepairsFromReplica) {
   ASSERT_NE(bs, nullptr);
   EXPECT_TRUE(bs->verify_range(0, 1024).empty());
   // And the detection/repair surfaced through the metrics registry.
+  cluster.record_metrics();
   EXPECT_GT(obs.metrics.counter_total("server_media_errors_total"), 0u);
   EXPECT_GT(obs.metrics.counter_total("server_checksum_mismatches_total"),
             0u);
@@ -262,6 +263,7 @@ TEST(MediaFaults, ScrubberRepairsRotWithoutAnyReads) {
       cluster.server(0).find_replica_bstream(handle, /*primary=*/2);
   ASSERT_NE(mirror, nullptr);
   EXPECT_TRUE(mirror->verify_range(0, mirror->size()).empty());
+  cluster.record_metrics();
   EXPECT_GT(obs.metrics.counter_total("server_scrub_repairs_total"), 0u);
   EXPECT_GT(obs.metrics.counter_total("server_scrub_blocks_total"), 0u);
   // The sampler recorded the srv_scrubbing series (gated on the knobs).
@@ -313,7 +315,7 @@ TEST(MediaFaults, SameSeedSameScrubChaosRun) {
       rotted += cluster.server(s).media().pages_rotted;
       poisoned += cluster.server(s).media().pages_poisoned;
     }
-    totals = cluster.cache_stats_total();
+    totals = cluster.server_stats_total();
     end_time = cluster.scheduler().now();
   };
   std::vector<StatusCode> codes_a, codes_b;
@@ -648,7 +650,7 @@ TEST_P(MediaEquivalence, RottedRunsMatchOracleOrSurfaceTypedLoss) {
         }
       }
       if (server0_written) {
-        EXPECT_GE(cluster.cache_stats_total().media_data_loss, 1u);
+        EXPECT_GE(cluster.server_stats_total().media_data_loss, 1u);
         EXPECT_GE(client->data_loss_surfaced(), 1u);
       }
       continue;
@@ -668,7 +670,7 @@ TEST_P(MediaEquivalence, RottedRunsMatchOracleOrSurfaceTypedLoss) {
     // Nothing was lost, and by the time the run drained the scrubber had
     // completed a clean full cycle: every store — primary and replica
     // segments on every server — verifies clean.
-    const pfs::ServerStats totals = cluster.cache_stats_total();
+    const pfs::ServerStats totals = cluster.server_stats_total();
     EXPECT_EQ(totals.media_data_loss, 0u) << "r=" << r;
     EXPECT_EQ(client->data_loss_surfaced(), 0u) << "r=" << r;
     if (server0_written) {

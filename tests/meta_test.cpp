@@ -625,6 +625,34 @@ TEST(PerFileLayouts, UnhintedAndLargeFilesKeepGlobalLayout) {
   EXPECT_TRUE(done);
 }
 
+// The remove reply echoes the removed handle, so the client drops the
+// file's cached per-file layout instead of keeping it forever.
+TEST(PerFileLayouts, RemoveDropsTheCachedLayout) {
+  net::ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.num_clients = 1;
+  cfg.strip_size = 4 * kKiB;
+  cfg.per_file_layouts = true;
+  cfg.layout_small_file_bytes = 64 * kKiB;
+  cfg.layout_small_servers = 1;
+  pfs::Cluster cluster(cfg);
+  auto client = cluster.make_client(0);
+  bool done = false;
+  cluster.scheduler().spawn(
+      [](pfs::Client& c, bool& ok) -> Task<void> {
+        const pfs::MetaResult f = co_await c.create("/gone", 16 * kKiB);
+        EXPECT_TRUE(f.status.is_ok());
+        EXPECT_EQ(c.layout_for(f.handle).num_servers(), 1);
+        const pfs::MetaResult removed = co_await c.remove("/gone");
+        EXPECT_TRUE(removed.status.is_ok());
+        EXPECT_EQ(removed.handle, f.handle);
+        EXPECT_EQ(c.layout_for(f.handle).num_servers(), 4);
+        ok = true;
+      }(*client, done));
+  cluster.run();
+  EXPECT_TRUE(done);
+}
+
 // ---- Observability ---------------------------------------------------------
 
 TEST(MetaObs, PerShardCountersOnlyWhenSharded) {
@@ -660,6 +688,7 @@ TEST(MetaObs, PerShardCountersOnlyWhenSharded) {
     for (int s = 0; s < 4; ++s) {
       stats_total += cluster.server(s).stats().meta_ops;
     }
+    cluster.record_metrics();
     if (shards == 1) {
       // Default config exports no meta metrics at all — the legacy
       // metric set stays byte-identical.

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "net/fault.h"
 #include "obs/chrome_trace.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -220,8 +221,102 @@ TEST(Observability, ClusterRunLinksSpansAcrossLayers) {
   }
   const Histogram lat = obs.metrics.merged_histogram("client_op_latency_ns");
   EXPECT_GE(lat.count(), 2u);
+  cluster.record_metrics();
   EXPECT_EQ(obs.metrics.counter_total("server_requests_total"),
             obs.metrics.counter_total("net_messages_total") / 2);
+}
+
+// Counters are published from the component tallies, not kept twice: with
+// the cache, checksums, r=2 and wire drops on, every counter family equals
+// its summed component stat, and publishing again does not double-count.
+TEST(Observability, RecordMetricsPublishesComponentTallies) {
+  net::ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.num_clients = 2;
+  cfg.strip_size = 4096;
+  cfg.replication = 2;
+  cfg.client.rpc_timeout = 20 * kMillisecond;
+  cfg.client.rpc_max_attempts = 8;
+  cfg.client.rpc_backoff_base = 2 * kMillisecond;
+  cfg.server.block_checksums = true;
+  cfg.server.cache_block_bytes = 4096;
+  cfg.server.cache_capacity_bytes = 64 * 4096;
+  pfs::Cluster cluster(cfg);
+  Observability obs;
+  cluster.set_observability(&obs);
+  net::FaultPlan plan(7);
+  plan.set_default_spec(net::FaultSpec{.drop = 0.05});
+  plan.set_scope_max_node(cfg.num_servers);
+  cluster.set_fault_plan(&plan);
+  auto c0 = cluster.make_client(0);
+  auto c1 = cluster.make_client(1);
+  for (pfs::Client* c : {c0.get(), c1.get()}) {
+    cluster.scheduler().spawn([](pfs::Client& c) -> Task<void> {
+      const std::string path = "/tally" + std::to_string(c.rank());
+      pfs::MetaResult f = co_await c.create(path);
+      EXPECT_TRUE(f.status.is_ok());
+      std::vector<std::uint8_t> data(64 * 1024, 7);
+      const auto n = static_cast<std::int64_t>(data.size());
+      for (int pass = 0; pass < 2; ++pass) {
+        EXPECT_TRUE(
+            (co_await c.write_contig(f.handle, 0, data.data(), n)).is_ok());
+        EXPECT_TRUE(
+            (co_await c.read_contig(f.handle, 0, data.data(), n)).is_ok());
+      }
+    }(*c));
+  }
+  cluster.run();
+  cluster.record_metrics();
+  cluster.record_metrics();
+
+  const pfs::ServerStats st = cluster.server_stats_total();
+  const MetricsRegistry& m = obs.metrics;
+  // The run exercised every feature whose counters are checked below.
+  EXPECT_GT(st.cache_hits, 0u);
+  EXPECT_GT(plan.counters().dropped, 0u);
+  EXPECT_GT(c0->rpc_retries() + c1->rpc_retries(), 0u);
+
+  EXPECT_EQ(m.counter_total("net_messages_total"),
+            cluster.network().total_messages());
+  EXPECT_EQ(m.counter_total("net_wire_bytes_total"),
+            cluster.network().total_wire_bytes());
+  EXPECT_EQ(m.counter_total("faults_injected_total"), plan.counters().total());
+
+  EXPECT_EQ(m.counter_total("server_requests_total"),
+            st.requests - st.sheds_depth - st.sheds_bytes);
+  EXPECT_EQ(m.counter_total("server_disk_bytes_total"), st.disk_bytes);
+  EXPECT_EQ(m.counter_total("server_replays_suppressed_total"),
+            st.replays_suppressed);
+  EXPECT_EQ(m.counter_total("server_crc_rejects_total"), st.crc_rejects);
+  EXPECT_EQ(m.counter_total("server_crash_discarded_total"),
+            st.crash_discarded);
+  EXPECT_EQ(m.counter_total("server_shed_total"),
+            st.sheds_depth + st.sheds_bytes);
+  EXPECT_EQ(m.counter_total("server_cache_hits_total"), st.cache_hits);
+  EXPECT_EQ(m.counter_total("server_cache_misses_total"), st.cache_misses);
+  EXPECT_EQ(m.counter_total("server_cache_readahead_issued_total"),
+            st.cache_readahead_issued);
+  EXPECT_EQ(m.counter_total("server_cache_evictions_total"),
+            st.cache_evictions);
+  EXPECT_EQ(m.counter_total("server_cache_dirty_flushed_bytes_total"),
+            st.cache_dirty_flushed_bytes);
+  EXPECT_EQ(m.counter_total("server_resync_strips_pulled_total"),
+            st.resync_strips_pulled);
+  EXPECT_EQ(m.counter_total("server_media_errors_total"),
+            st.media_sector_errors + st.media_bit_rot_detected +
+                st.media_torn_detected);
+  EXPECT_EQ(m.counter_total("server_scrub_blocks_total"), st.scrub_blocks);
+
+  std::uint64_t retries = 0, timeouts = 0, quorum_writes = 0;
+  for (const pfs::Client* c : {c0.get(), c1.get()}) {
+    retries += c->rpc_retries();
+    timeouts += c->rpc_timeouts();
+    quorum_writes += c->quorum_writes();
+  }
+  EXPECT_GT(quorum_writes, 0u);
+  EXPECT_EQ(m.counter_total("client_retries_total"), retries);
+  EXPECT_EQ(m.counter_total("client_rpc_timeouts_total"), timeouts);
+  EXPECT_EQ(m.counter_total("client_quorum_writes_total"), quorum_writes);
 }
 
 TEST(Observability, DisabledRunMatchesEnabledTiming) {

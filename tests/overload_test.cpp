@@ -18,11 +18,11 @@
 #include "common/units.h"
 #include "net/fault.h"
 #include "obs/metrics.h"
+#include "obs/observability.h"
 #include "obs/run_report.h"
 #include "pfs/cluster.h"
 #include "sim/mailbox.h"
 #include "sim/scheduler.h"
-#include "sim/tracer.h"
 
 namespace dtio {
 namespace {
@@ -51,11 +51,14 @@ net::ClusterConfig overload_config(int servers = 1, int clients = 1) {
   return cfg;
 }
 
-bool trace_has(const sim::Tracer& tracer, std::string_view kind) {
-  for (const auto& e : tracer.events()) {
-    if (e.kind == kind) return true;
+/// The values of one counter track (name, node), in sample order.
+std::vector<double> track_values(const obs::Observability& obs,
+                                 std::string_view name, int node) {
+  std::vector<double> values;
+  for (const obs::CounterSample& s : obs.spans.samples()) {
+    if (s.name == name && s.node == node) values.push_back(s.value);
   }
-  return false;
+  return values;
 }
 
 // ---- Mailbox timed-receive edge cases --------------------------------------
@@ -259,8 +262,6 @@ TEST(Admission, DepthBoundShedsAndRetriesRecover) {
   auto cfg = overload_config();
   cfg.server.max_queue_depth = 1;
   pfs::Cluster cluster(cfg);
-  sim::Tracer tracer;
-  cluster.set_tracer(&tracer);
   auto client = cluster.make_client(0);
   const auto data = pattern_bytes(6 * 2048, 52);
 
@@ -304,7 +305,7 @@ TEST(Admission, DepthBoundShedsAndRetriesRecover) {
   EXPECT_GT(cluster.server(0).stats().max_backlog, 1u);
   EXPECT_GT(client->overloads_seen(), 0u);
   EXPECT_GT(client->rpc_retries(), 0u);
-  EXPECT_TRUE(trace_has(tracer, "shed"));
+  EXPECT_EQ(cluster.server(0).stats().sheds_bytes, 0u);  // no byte bound set
 }
 
 TEST(Admission, ByteBoundShedsAndRetriesRecover) {
@@ -579,8 +580,8 @@ TEST(Breaker, HalfOpenProbeRecoversAfterOutageEnds) {
   cfg.client.breaker_failures = 2;
   cfg.client.breaker_open_duration = 20 * kMillisecond;
   pfs::Cluster cluster(cfg);
-  sim::Tracer tracer;
-  cluster.set_tracer(&tracer);
+  obs::Observability obs;
+  cluster.set_observability(&obs);
   FaultPlan plan(5);
   plan.add_outage(/*node=*/0, 5 * kMillisecond, 60 * kMillisecond);
   cluster.set_fault_plan(&plan);
@@ -613,9 +614,13 @@ TEST(Breaker, HalfOpenProbeRecoversAfterOutageEnds) {
   EXPECT_TRUE(finished);
   EXPECT_GE(client->breaker_fast_fails(), 1u);
   EXPECT_EQ(client->lane_health(0).breaker, 0);  // closed again
-  EXPECT_TRUE(trace_has(tracer, "breaker_open"));
-  EXPECT_TRUE(trace_has(tracer, "breaker_half_open"));
-  EXPECT_TRUE(trace_has(tracer, "breaker_close"));
+  // The breaker_srv0 counter track went open (1) -> half-open (2) ->
+  // closed (0), in that order.
+  const std::vector<double> states =
+      track_values(obs, "breaker_srv0", client->node_id());
+  const auto open = std::find(states.begin(), states.end(), 1.0);
+  const auto half_open = std::find(open, states.end(), 2.0);
+  EXPECT_NE(std::find(half_open, states.end(), 0.0), states.end());
 }
 
 // A half-open probe answered with a definitive application-level error

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -259,6 +263,61 @@ TEST(EndToEnd, ContigWriteReadAcrossStripes) {
       }(*client, data, finished));
   cluster.run();
   EXPECT_TRUE(finished);
+}
+
+// ---- Fleet stats -------------------------------------------------------------
+
+// Every ServerStats field is a uint64_t, so the struct reads as one array
+// of words: a field added without a line in operator+= stays 0 here.
+TEST(ServerStats, SumCoversEveryField) {
+  constexpr std::size_t kWords = sizeof(ServerStats) / sizeof(std::uint64_t);
+  static_assert(sizeof(ServerStats) == kWords * sizeof(std::uint64_t));
+  std::array<std::uint64_t, kWords> ones{};
+  ones.fill(1);
+  const auto one = std::bit_cast<ServerStats>(ones);
+  ServerStats total;
+  total += one;
+  total += one;
+  const auto sum = std::bit_cast<std::array<std::uint64_t, kWords>>(total);
+  const std::size_t max_word = offsetof(ServerStats, max_backlog) / 8;
+  for (std::size_t i = 0; i < kWords; ++i) {
+    EXPECT_EQ(sum[i], i == max_word ? 1u : 2u) << "word " << i;
+  }
+}
+
+// Cluster::server_stats_total() sums request and byte counts too, not
+// just the cache and integrity fields.
+TEST(ServerStats, ClusterTotalSumsRequestsAndBytes) {
+  Cluster cluster(small_config());
+  auto client = cluster.make_client(0);
+  const auto data = pattern_bytes(10000, 43);
+  bool finished = false;
+  cluster.scheduler().spawn(
+      [](Client& c, const std::vector<std::uint8_t>& src,
+         bool& done) -> Task<void> {
+        MetaResult f = co_await c.create("/total");
+        EXPECT_TRUE(f.status.is_ok());
+        const auto n = static_cast<std::int64_t>(src.size());
+        EXPECT_TRUE((co_await c.write_contig(f.handle, 0, src.data(), n))
+                        .is_ok());
+        std::vector<std::uint8_t> back(src.size());
+        EXPECT_TRUE((co_await c.read_contig(f.handle, 0, back.data(), n))
+                        .is_ok());
+        done = true;
+      }(*client, data, finished));
+  cluster.run();
+  EXPECT_TRUE(finished);
+
+  std::uint64_t requests = 0;
+  for (int s = 0; s < cluster.config().num_servers; ++s) {
+    requests += cluster.server(s).stats().requests;
+  }
+  const ServerStats total = cluster.server_stats_total();
+  EXPECT_GT(total.requests, 0u);
+  EXPECT_EQ(total.requests, requests);
+  EXPECT_EQ(total.bytes_written, 10000u);
+  EXPECT_EQ(total.bytes_read, 10000u);
+  EXPECT_EQ(total.meta_ops, 1u);  // the create
 }
 
 TEST(EndToEnd, ListWriteReadRoundTrip) {

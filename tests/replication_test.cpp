@@ -545,7 +545,7 @@ TEST_P(ReplicationEquivalence, CrashedRunMatchesOracleAcrossAllMethods) {
   }
 
   // The crash happened, and any dirty bytes it destroyed were re-pulled.
-  const pfs::ServerStats total_stats = cluster.cache_stats_total();
+  const pfs::ServerStats total_stats = cluster.server_stats_total();
   EXPECT_EQ(cluster.server(1).stats().crashes, 1u);
   EXPECT_FALSE(cluster.server(1).crashed());
   EXPECT_FALSE(cluster.server(1).resyncing());
