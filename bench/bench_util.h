@@ -8,6 +8,7 @@
 // processing, packing) use google-benchmark.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,12 +26,24 @@ namespace dtio::bench {
 
 // ---- Flags -------------------------------------------------------------------
 
+/// Value of `--name=N`, or `fallback` when the flag is absent. A value
+/// that is empty or not a whole decimal number is a usage error: the
+/// bench prints one naming the flag and exits with status 2.
 inline std::int64_t flag_int(int argc, char** argv, const char* name,
                              std::int64_t fallback) {
   const std::size_t len = std::strlen(name);
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return std::atoll(argv[i] + len + 1);
+      const char* text = argv[i] + len + 1;
+      char* end = nullptr;
+      errno = 0;
+      const long long value = std::strtoll(text, &end, 10);
+      if (*text == '\0' || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr, "error: %s expects an integer, got '%s'\n",
+                     name, text);
+        std::exit(2);
+      }
+      return value;
     }
   }
   return fallback;

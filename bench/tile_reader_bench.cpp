@@ -5,17 +5,34 @@
 //              count, resent data).
 //
 // Configuration mirrors §4.1/§4.2: 16 I/O servers, 64 KiB strips, 6
-// clients (one process per node), 4 MiB sieve/collective buffers.
+// clients (one process per node, fixed by the tile geometry), 4 MiB
+// sieve/collective buffers.
 //
-// Flags: --frames=N (default 100), --clients-per... (fixed 6 by geometry),
-// --chaos (fault-injection ablation), --overload (degraded-server
-// tail-latency ablation), --cache (server buffer-cache cold/warm
-// ablation); all off by default so the report JSON is byte-identical to
-// an ablation-free build.
+// Flags:
+//   --frames=N           frames per run (default 100, at least 1)
+//   --csv                also print Figure 8 as csv rows
+//   --trace=PATH         Chrome trace of the datatype-I/O run
+//   --json=PATH          report path (default BENCH_tile_reader.json)
+//   --no-obs             run without observability; writes no report
+//   --chaos              fault-injection ablation
+//   --overload           degraded-server tail-latency ablation plus the
+//                        instrumented convoy (--trace-overload=PATH,
+//                        default trace_overload.json)
+//   --cache              server buffer-cache cold/warm ablation
+//   --replication        degraded-read ablation (--replication-r=N sets the
+//                        replicated arm's factor, default 2)
+//   --media-faults       storage-integrity ablation (--media-r=N, default 2)
+// The pruned-expansion ablation always runs. The others are off by
+// default, so the default report is byte-identical to an ablation-free
+// build. Every ablation records its numbers as report scalars and prints
+// its summary from them.
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -34,20 +51,160 @@ namespace {
 using bench::MethodResult;
 using mpiio::Method;
 using sim::Task;
+using Scalars = std::map<std::string, double>;
 
-/// Server-side counters summed over the fleet (pruned-expansion ablation).
-struct ServerAgg {
-  std::uint64_t regions_walked = 0;
-  std::uint64_t my_pieces = 0;
-  std::uint64_t subtrees_skipped = 0;
-  std::uint64_t pieces_pruned = 0;
+/// One client stack per rank: pfs::Client, io::Context and mpiio::File.
+/// Timing-only (no data bytes move) at this scale.
+struct Ranks {
+  std::vector<std::unique_ptr<pfs::Client>> clients;
+  std::vector<std::unique_ptr<io::Context>> contexts;
+  std::vector<std::unique_ptr<mpiio::File>> files;
 };
+
+Ranks make_ranks(pfs::Cluster& cluster) {
+  Ranks out;
+  for (int r = 0; r < cluster.config().num_clients; ++r) {
+    out.clients.push_back(cluster.make_client(r));
+    out.clients.back()->set_transfer_data(false);
+    out.contexts.push_back(std::make_unique<io::Context>(io::Context{
+        cluster.scheduler(), *out.clients.back(), cluster.config()}));
+    out.files.push_back(std::make_unique<mpiio::File>(*out.contexts.back()));
+  }
+  return out;
+}
+
+/// Rank 0 creates the frame file (contents are irrelevant for read timing).
+void create_frames(pfs::Cluster& cluster, Ranks& ranks) {
+  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
+    (void)co_await f.open("/frames", true);
+  }(*ranks.files[0]));
+  cluster.run();
+}
+
+/// One rank's independent datatype pass over every frame of its tile.
+/// Opens the frame file first unless this rank already has it open (a
+/// write pass creates it on rank 0). Counts failed ops in `fail` and
+/// keeps going.
+Task<void> tile_pass(mpiio::File& f, const workloads::TileConfig& t, int rank,
+                     int nframes, bool write, int& fail) {
+  if (!f.is_open()) (void)co_await f.open("/frames", write && rank == 0);
+  f.set_view(0, types::byte_t(), t.tile_filetype(rank));
+  auto memtype = t.memtype();
+  for (int frame = 0; frame < nframes; ++frame) {
+    const std::int64_t offset =
+        static_cast<std::int64_t>(frame) * t.tile_bytes();
+    Status s;
+    if (write) {
+      s = co_await f.write_at(offset, nullptr, 1, memtype, Method::kDatatype);
+    } else {
+      s = co_await f.read_at(offset, nullptr, 1, memtype, Method::kDatatype);
+    }
+    if (!s.is_ok()) ++fail;
+  }
+}
+
+/// Runs tile_pass on every rank to quiescence; returns simulated seconds.
+double run_tile_pass(pfs::Cluster& cluster, Ranks& ranks,
+                     const workloads::TileConfig& tile, int frames, bool write,
+                     int& fail) {
+  const SimTime t0 = cluster.scheduler().now();
+  for (int r = 0; r < cluster.config().num_clients; ++r) {
+    cluster.scheduler().spawn(
+        tile_pass(*ranks.files[r], tile, r, frames, write, fail));
+  }
+  cluster.run();
+  return to_seconds(cluster.scheduler().now() - t0);
+}
+
+/// Creates `path` through `c`, writes `chunks` copies of `chunk` back to
+/// back from offset 0, then reads the first chunk `warmup_reads` times,
+/// all as one op sequence, and runs the cluster to quiescence. Failed ops
+/// count in `fail`. Returns the file's handle (0 if the create failed).
+std::uint64_t seed_file(pfs::Cluster& cluster, pfs::Client& client,
+                        const char* path,
+                        const std::vector<std::uint8_t>& chunk, int chunks,
+                        int warmup_reads, int& fail) {
+  std::uint64_t handle = 0;
+  cluster.scheduler().spawn(
+      [](pfs::Client& c, const char* p, const std::vector<std::uint8_t>& buf,
+         int n, int warmups, std::uint64_t& h, int& fail) -> Task<void> {
+        pfs::MetaResult f = co_await c.create(p);
+        if (!f.status.is_ok()) {
+          ++fail;
+          co_return;
+        }
+        h = f.handle;
+        const auto len = static_cast<std::int64_t>(buf.size());
+        for (int i = 0; i < n; ++i) {
+          Status w = co_await c.write_contig(h, i * len, buf.data(), len);
+          if (!w.is_ok()) ++fail;
+        }
+        std::vector<std::uint8_t> back(buf.size());
+        for (int i = 0; i < warmups; ++i) {
+          Status r = co_await c.read_contig(h, 0, back.data(), len);
+          if (!r.is_ok()) ++fail;
+        }
+      }(client, path, chunk, chunks, warmup_reads, handle, fail));
+  cluster.run();
+  return handle;
+}
+
+/// Open-loop paced reads of `bytes` at offset 0: read i is spawned to
+/// issue at t0 + i * pace, so a slow op cannot shield the ops behind it
+/// from a fault window. Stores read i's latency in lat[i] and counts
+/// successes in `ok`, failures in `fail`; runs the cluster to quiescence.
+void paced_reads(pfs::Cluster& cluster, pfs::Client& client, std::uint64_t h,
+                 std::size_t bytes, SimTime t0, SimTime pace,
+                 std::vector<SimTime>& lat, int& ok, int& fail) {
+  for (std::size_t i = 0; i < lat.size(); ++i) {
+    cluster.scheduler().spawn(
+        [](sim::Scheduler& sched, pfs::Client& c, std::uint64_t h,
+           std::size_t bytes, SimTime due, SimTime& slot, int& ok,
+           int& fail) -> Task<void> {
+          co_await sched.delay(due - sched.now());
+          std::vector<std::uint8_t> buf(bytes);
+          const SimTime start = sched.now();
+          Status r = co_await c.read_contig(
+              h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
+          slot = sched.now() - start;
+          if (r.is_ok()) {
+            ++ok;
+          } else {
+            ++fail;
+          }
+        }(cluster.scheduler(), client, h, bytes,
+          t0 + static_cast<SimTime>(i) * pace, lat[i], ok, fail));
+  }
+  cluster.run();
+}
+
+/// Nearest-rank percentile over the raw latency samples (exact, not the
+/// log-linear histogram estimate).
+SimTime percentile_exact(std::vector<SimTime> v, double p) {
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<std::size_t>(std::max<std::int64_t>(
+      0, static_cast<std::int64_t>(
+             p / 100.0 * static_cast<double>(v.size()) + 0.5) -
+             1));
+  return v[std::min(rank, v.size() - 1)];
+}
+
+/// Prints one ablation's summary: every scalar whose name starts with
+/// `prefix`, formatted as the JSON report writes it.
+void print_scalars(const Scalars& s, const char* title,
+                   const std::string& prefix) {
+  std::printf("\n%s\n", title);
+  for (auto it = s.lower_bound(prefix);
+       it != s.end() && it->first.starts_with(prefix); ++it) {
+    std::printf("  %-32s %.6g\n", it->first.c_str(), it->second);
+  }
+}
 
 MethodResult run_tile(Method method, const workloads::TileConfig& tile,
                       int frames, bool use_obs,
                       const std::string& trace_path,
                       bool pruned_expansion = true,
-                      ServerAgg* agg = nullptr) {
+                      pfs::ServerStats* servers = nullptr) {
   net::ClusterConfig cfg;  // paper defaults: 16 servers, 64 KiB strips
   cfg.num_clients = tile.num_clients();
   cfg.server.pruned_expansion = pruned_expansion;
@@ -57,22 +214,8 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
   if (use_obs) cluster.set_observability(&obs);
   coll::Communicator comm(cluster.scheduler(), cluster.network(),
                           cluster.config(), cfg.num_clients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);  // timing-only at this scale
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-
-  // Create the frame file (contents are irrelevant for read timing).
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/frames", true);
-  }(*files[0]));
-  cluster.run();
+  Ranks ranks = make_ranks(cluster);
+  create_frames(cluster, ranks);
 
   const SimTime t0 = cluster.scheduler().now();
   int failures = 0;
@@ -98,7 +241,8 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
               co_return;
             }
           }
-        }(*files[r], comm, tile, r, frames, method, failures, unsupported));
+        }(*ranks.files[r], comm, tile, r, frames, method, failures,
+          unsupported));
   }
   cluster.run();
 
@@ -112,7 +256,7 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
   const double desired_total = static_cast<double>(tile.tile_bytes()) *
                                tile.num_clients() * frames;
   result.bandwidth = desired_total / result.seconds;
-  result.per_client = clients[0]->stats();
+  result.per_client = ranks.clients[0]->stats();
   // Per-frame characteristics for Table 1.
   result.per_client.desired_bytes /= static_cast<std::uint64_t>(frames);
   result.per_client.accessed_bytes /= static_cast<std::uint64_t>(frames);
@@ -120,15 +264,7 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
   result.per_client.resent_bytes /= static_cast<std::uint64_t>(frames);
   result.per_client.request_bytes /= static_cast<std::uint64_t>(frames);
   result.events = cluster.scheduler().events_processed();
-  if (agg != nullptr) {
-    for (int s = 0; s < cfg.num_servers; ++s) {
-      const pfs::ServerStats& st = cluster.server(s).stats();
-      agg->regions_walked += st.regions_walked;
-      agg->my_pieces += st.my_pieces;
-      agg->subtrees_skipped += st.subtrees_skipped;
-      agg->pieces_pruned += st.pieces_pruned;
-    }
-  }
+  if (servers != nullptr) *servers = cluster.server_stats_total();
   if (use_obs) {
     bench::capture_latency(result, obs);
     cluster.record_metrics();
@@ -141,26 +277,40 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
   return result;
 }
 
-/// One chaos-ablation run (--chaos): independent datatype-I/O tile reads
+/// Pruned-expansion ablation at the paper configuration (16 servers,
+/// 64 KiB strips): the same datatype run with server-side subtree pruning
+/// on (default) and off (legacy full expansion). Fleet-aggregate
+/// regions_walked is the cost the pruning removes: with the flag off
+/// every server walks every piece of the access.
+void pruned_ablation(const workloads::TileConfig& tile, int frames,
+                     Scalars& s) {
+  for (const bool on : {true, false}) {
+    pfs::ServerStats st;
+    const MethodResult r =
+        run_tile(Method::kDatatype, tile, frames, false, "", on, &st);
+    const std::string p = on ? "pruned_on_" : "pruned_off_";
+    s[p + "regions_walked"] = static_cast<double>(st.regions_walked);
+    s[p + "sim_seconds"] = r.seconds;
+    if (!on) continue;
+    s[p + "my_pieces"] = static_cast<double>(st.my_pieces);
+    s[p + "subtrees_skipped"] = static_cast<double>(st.subtrees_skipped);
+    s[p + "pieces_pruned"] = static_cast<double>(st.pieces_pruned);
+  }
+  const double on_walked = s["pruned_on_regions_walked"];
+  s["pruned_regions_walked_ratio"] =
+      on_walked == 0 ? 0.0 : s["pruned_off_regions_walked"] / on_walked;
+  print_scalars(s, "ablation: server.pruned_expansion (datatype method)",
+                "pruned_");
+}
+
+/// One arm of the --chaos ablation: independent datatype-I/O tile reads
 /// under the reliability layer. Independent (not collective) reads keep a
 /// client that exhausts its retries from wedging everyone else's barrier,
-/// so the retries-off arm can count failures instead of deadlocking.
-struct ChaosRun {
-  double seconds = 0;
-  int failures = 0;
-  std::uint64_t client_retries = 0;
-  std::uint64_t client_timeouts = 0;
-  std::uint64_t replays = 0;
-  std::uint64_t crc_rejects = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t sheds = 0;
-  std::uint64_t hedges_issued = 0;
-  std::uint64_t hedges_won = 0;
-  net::FaultCounters faults;
-};
-
-ChaosRun run_tile_chaos(const workloads::TileConfig& tile, int frames,
-                        bool with_faults, int max_attempts) {
+/// so the retries-off arm can count failures instead of deadlocking. The
+/// fault-free arm records only its time (the slowdown baseline), the
+/// retries-off arm only its failures, the faulty arm every counter.
+void run_chaos_arm(const workloads::TileConfig& tile, int frames,
+                   bool with_faults, int max_attempts, Scalars& s) {
   net::ClusterConfig cfg;  // paper defaults: 16 servers, 64 KiB strips
   cfg.num_clients = tile.num_clients();
   // Reliability layer armed in every arm (including fault-free, so the
@@ -190,77 +340,62 @@ ChaosRun run_tile_chaos(const workloads::TileConfig& tile, int frames,
     plan.set_scope_max_node(cluster.config().num_servers);
     cluster.set_fault_plan(&plan);
   }
+  Ranks ranks = make_ranks(cluster);
+  create_frames(cluster, ranks);
 
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);  // timing-only at this scale
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/frames", true);
-  }(*files[0]));
-  cluster.run();
-
-  const SimTime t0 = cluster.scheduler().now();
   if (with_faults) {
-    cluster.schedule_server_crash(3, t0 + 2 * kMillisecond,
+    cluster.schedule_server_crash(3, cluster.scheduler().now() +
+                                         2 * kMillisecond,
                                   40 * kMillisecond);
   }
-  ChaosRun out;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, const workloads::TileConfig& t, int rank,
-           int nframes, int& fail) -> Task<void> {
-          if (rank != 0) (void)co_await f.open("/frames", false);
-          f.set_view(0, types::byte_t(), t.tile_filetype(rank));
-          auto memtype = t.memtype();
-          for (int frame = 0; frame < nframes; ++frame) {
-            Status s = co_await f.read_at(
-                static_cast<std::int64_t>(frame) * t.tile_bytes(), nullptr, 1,
-                memtype, Method::kDatatype);
-            if (!s.is_ok()) ++fail;
-          }
-        }(*files[r], tile, r, frames, out.failures));
-  }
-  cluster.run();
+  int failures = 0;
+  const double seconds =
+      run_tile_pass(cluster, ranks, tile, frames, /*write=*/false, failures);
 
-  out.seconds = to_seconds(cluster.scheduler().now() - t0);
-  for (const auto& c : clients) {
-    out.client_retries += c->rpc_retries();
-    out.client_timeouts += c->rpc_timeouts();
-    out.hedges_issued += c->hedges_issued();
-    out.hedges_won += c->hedges_won();
+  if (!with_faults) {
+    s["chaos_clean_sim_seconds"] = seconds;
+    return;
   }
-  for (int s = 0; s < cfg.num_servers; ++s) {
-    const pfs::ServerStats& st = cluster.server(s).stats();
-    out.replays += st.replays_suppressed;
-    out.crc_rejects += st.crc_rejects;
-    out.crashes += st.crashes;
-    out.sheds += st.sheds_depth + st.sheds_bytes;
+  if (max_attempts == 1) {
+    s["chaos_noretry_failures"] = failures;
+    return;
   }
-  out.faults = plan.counters();
-  return out;
+  s["chaos_sim_seconds"] = seconds;
+  s["chaos_failures"] = failures;
+  for (const auto& c : ranks.clients) {
+    s["chaos_retries"] += static_cast<double>(c->rpc_retries());
+    s["chaos_timeouts"] += static_cast<double>(c->rpc_timeouts());
+    s["chaos_hedges_issued"] += static_cast<double>(c->hedges_issued());
+    s["chaos_hedges_won"] += static_cast<double>(c->hedges_won());
+  }
+  const pfs::ServerStats st = cluster.server_stats_total();
+  s["chaos_replays"] = static_cast<double>(st.replays_suppressed);
+  s["chaos_crc_rejects"] = static_cast<double>(st.crc_rejects);
+  s["chaos_crashes"] = static_cast<double>(st.crashes);
+  s["chaos_sheds"] = static_cast<double>(st.sheds_depth + st.sheds_bytes);
+  s["chaos_faults_injected"] = static_cast<double>(plan.counters().total());
+}
+
+/// Fault-injection ablation (--chaos): datatype reads under 5% drop + 2%
+/// duplicate + 1% corrupt + one server crash, with retries on vs off.
+void chaos_ablation(const workloads::TileConfig& tile, int frames,
+                    Scalars& s) {
+  run_chaos_arm(tile, frames, false, 6, s);
+  run_chaos_arm(tile, frames, true, 6, s);
+  run_chaos_arm(tile, frames, true, 1, s);
+  const double clean = s["chaos_clean_sim_seconds"];
+  s["chaos_slowdown"] = clean == 0 ? 0.0 : s["chaos_sim_seconds"] / clean;
+  print_scalars(s,
+                "chaos ablation: datatype reads, 5% drop + 2% dup + 1% "
+                "corrupt + server 3 crash; clean, retries on, retries off",
+                "chaos_");
 }
 
 /// One arm of the --overload ablation: a single client doing open-loop
 /// paced 16 KiB reads of a 2-server striped file while server 1 runs 4x
-/// degraded for 150 ms. Reads are spawned at absolute times so a slow op
-/// cannot shield the ops behind it from the window. Mirrors the
-/// deterministic acceptance scenario in tests/overload_test.cpp.
-struct OverloadArm {
-  std::vector<SimTime> latencies;
-  int failures = 0;
-  std::uint64_t hedges_issued = 0;
-  std::uint64_t hedges_won = 0;
-  std::uint64_t timeouts = 0;
-};
-
-OverloadArm run_overload_arm(bool hedging_on) {
+/// degraded for 150 ms. Mirrors the deterministic acceptance scenario in
+/// tests/overload_test.cpp.
+void run_overload_arm(bool hedging_on, Scalars& s) {
   constexpr int kWarmupReads = 20;
   constexpr int kMeasuredReads = 100;
   constexpr SimTime kPace = 25 * kMillisecond;
@@ -290,53 +425,137 @@ OverloadArm run_overload_arm(bool hedging_on) {
   cluster.set_fault_plan(&plan);
   auto client = cluster.make_client(0);
 
-  OverloadArm out;
-  out.latencies.assign(kMeasuredReads, 0);
-
   // Phase 1: create, write, healthy warmup (arms the hedge quantile).
-  std::uint64_t handle = 0;
-  cluster.scheduler().spawn(
-      [](pfs::Client& c, std::uint64_t& h, int& fail) -> Task<void> {
-        pfs::MetaResult f = co_await c.create("/overload");
-        if (!f.status.is_ok()) {
-          ++fail;
-          co_return;
-        }
-        h = f.handle;
-        std::vector<std::uint8_t> buf(kReadBytes, 0x5A);
-        Status w = co_await c.write_contig(
-            h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-        if (!w.is_ok()) ++fail;
-        for (int i = 0; i < kWarmupReads; ++i) {
-          Status r = co_await c.read_contig(
-              h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-          if (!r.is_ok()) ++fail;
-        }
-      }(*client, handle, out.failures));
-  cluster.run();
+  int failures = 0;
+  const std::uint64_t handle =
+      seed_file(cluster, *client, "/overload",
+                std::vector<std::uint8_t>(kReadBytes, 0x5A), 1, kWarmupReads,
+                failures);
 
   // Phase 2: server 1 degrades 4x for kWindow under paced reads.
   const SimTime t0 = cluster.scheduler().now() + 2 * kMillisecond;
   plan.add_degraded(/*node=*/1, t0, t0 + kWindow, 4.0);
-  for (int i = 0; i < kMeasuredReads; ++i) {
+  std::vector<SimTime> lat(kMeasuredReads);
+  int ok = 0;
+  paced_reads(cluster, *client, handle, kReadBytes, t0, kPace, lat, ok,
+              failures);
+
+  const std::string p = hedging_on ? "overload_on_" : "overload_off_";
+  s[p + "read_p50_us"] = percentile_exact(lat, 50) / 1e3;
+  s[p + "read_p99_us"] = percentile_exact(lat, 99) / 1e3;
+  s[p + "read_p999_us"] = percentile_exact(lat, 99.9) / 1e3;
+  s[p + "hedges_issued"] = static_cast<double>(client->hedges_issued());
+  if (hedging_on) {
+    s[p + "hedges_won"] = static_cast<double>(client->hedges_won());
+  }
+  s[p + "timeouts"] = static_cast<double>(client->rpc_timeouts());
+  s["overload_failures"] += failures;
+}
+
+/// The instrumented convoy scenario (--overload): 8 clients in a closed
+/// loop hammering one decode-bound server (request_overhead raised to
+/// 2 ms) with small contiguous reads. The server's mailbox backs up, so
+/// nearly all of each op's latency is queue-wait — the canonical case for
+/// phase attribution. Runs with the timeline sampler on (1 ms period) and
+/// exports trace_overload.json; CI feeds that trace to dtio_inspect and
+/// gates on >= 95% typed-phase coverage at p99 with server_queue dominant.
+void run_overload_convoy(const std::string& trace_path,
+                         obs::RunReport& report) {
+  constexpr int kClients = 8;
+  constexpr int kReadsPerClient = 30;
+  constexpr std::size_t kReadBytes = 4096;
+
+  obs::ObsConfig obs_cfg;
+  obs_cfg.sample_period = kMillisecond;
+  obs_cfg.timeline_capacity = 8192;  // whole run retained, zero dropped
+  obs::Observability obs(obs_cfg);
+
+  net::ClusterConfig cfg;
+  cfg.num_servers = 1;
+  cfg.num_clients = kClients;
+  cfg.server.request_overhead = 2 * kMillisecond;  // decode-bound server
+  // Reliable RPC path armed (typed client-side queue/backoff spans) but
+  // the timeout is ~50x any convoy queue wait, so no attempt ever
+  // retries. Kept small because each pending recv_for timer extends the
+  // post-run event drain (and thus the sampled window) by one timeout.
+  cfg.client.rpc_timeout = kSecond;
+  cfg.client.rpc_max_attempts = 1;
+
+  pfs::Cluster cluster(cfg);
+  cluster.set_observability(&obs);
+  std::vector<std::unique_ptr<pfs::Client>> clients;
+  for (int r = 0; r < kClients; ++r) clients.push_back(cluster.make_client(r));
+
+  int failures = 0;
+  const std::uint64_t handle =
+      seed_file(cluster, *clients[0], "/convoy",
+                std::vector<std::uint8_t>(kReadBytes, 0x5A), 1, 0, failures);
+
+  const SimTime t0 = cluster.scheduler().now();
+  for (int r = 0; r < kClients; ++r) {
     cluster.scheduler().spawn(
-        [](sim::Scheduler& sched, pfs::Client& c, std::uint64_t h,
-           SimTime due, int slot, OverloadArm& out) -> Task<void> {
-          co_await sched.delay(due - sched.now());
+        [](pfs::Client& c, std::uint64_t h, int& fail) -> Task<void> {
           std::vector<std::uint8_t> buf(kReadBytes);
-          const SimTime start = sched.now();
-          Status r = co_await c.read_contig(
-              h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-          out.latencies[static_cast<std::size_t>(slot)] = sched.now() - start;
-          if (!r.is_ok()) ++out.failures;
-        }(cluster.scheduler(), *client, handle, t0 + i * kPace, i, out));
+          for (int i = 0; i < kReadsPerClient; ++i) {
+            Status s = co_await c.read_contig(
+                h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
+            if (!s.is_ok()) ++fail;
+          }
+        }(*clients[r], handle, failures));
   }
   cluster.run();
 
-  out.hedges_issued = client->hedges_issued();
-  out.hedges_won = client->hedges_won();
-  out.timeouts = client->rpc_timeouts();
-  return out;
+  Scalars& s = report.scalars;
+  s["overload_convoy_sim_seconds"] =
+      to_seconds(cluster.scheduler().now() - t0);
+  s["overload_convoy_failures"] = failures;
+  if (!trace_path.empty() && cluster.write_trace(trace_path)) {
+    std::printf("chrome trace (overload convoy): %s\n", trace_path.c_str());
+  }
+  std::vector<obs::OpBreakdown> ops = obs::decompose_ops(obs.spans);
+  std::erase_if(ops, [](const obs::OpBreakdown& op) {
+    return op.name != "contig_read";
+  });
+  obs::PhaseReport phases = obs::summarize_phases(std::move(ops));
+  s["overload_convoy_ops"] = static_cast<double>(phases.ops);
+  if (const obs::PhaseQuantile* q = phases.quantile(99)) {
+    s["overload_convoy_p99_ms"] = q->latency_ns / 1e6;
+    s["overload_convoy_coverage_p99"] = q->coverage;
+    s["overload_convoy_queue_share_p99"] =
+        q->latency_ns <= 0
+            ? 0.0
+            : q->phase_ns[static_cast<std::size_t>(obs::Phase::kServerQueue)] /
+                  q->latency_ns;
+  }
+  double queue_peak = 0;  // server 0 mailbox depth high-water mark
+  for (const auto& series : obs.timeline.all()) {
+    if (series->name() == "queue_depth" && series->node() == 0) {
+      queue_peak = series->peak_value();
+    }
+  }
+  s["overload_convoy_queue_peak"] = queue_peak;
+  report.phases.emplace_back("contig_read", std::move(phases));
+  report.add_timeline(obs.timeline);
+}
+
+/// Tail-latency ablation (--overload): the same degraded-server scenario
+/// with the overload layer (hedged reads + circuit breaker + AIMD window)
+/// on vs off, then the instrumented convoy: where does the time go when
+/// one server backs up?
+void overload_ablation(const std::string& convoy_trace,
+                       obs::RunReport& report) {
+  Scalars& s = report.scalars;
+  run_overload_arm(false, s);
+  run_overload_arm(true, s);
+  const double on_p99 = s["overload_on_read_p99_us"];
+  s["overload_p99_ratio"] =
+      on_p99 == 0 ? 0.0 : s["overload_off_read_p99_us"] / on_p99;
+  run_overload_convoy(convoy_trace, report);
+  print_scalars(s,
+                "overload ablation: 100 paced 16 KiB reads, server 1 "
+                "degraded 4x for 150 ms, hedging off vs on; convoy of 8 "
+                "clients on 1 server with 2 ms decode",
+                "overload_");
 }
 
 /// One arm of the --cache ablation: datatype tile reads over the same
@@ -345,17 +564,8 @@ OverloadArm run_overload_arm(bool hedging_on) {
 /// against), every cache is flushed and dropped via a fleet-wide crash,
 /// then a cold pass and a warm pass read identical data. With the cache
 /// on the warm pass should be served almost entirely from memory.
-struct CacheArm {
-  double cold_seconds = 0;
-  double warm_seconds = 0;
-  std::uint64_t cold_disk = 0;
-  std::uint64_t warm_disk = 0;
-  int failures = 0;
-  pfs::ServerStats totals;  // fleet-summed cache counters
-};
-
-CacheArm run_tile_cache(const workloads::TileConfig& tile, int frames,
-                        bool cache_on) {
+void run_cache_arm(const workloads::TileConfig& tile, int frames,
+                   bool cache_on, Scalars& s) {
   net::ClusterConfig cfg;  // paper defaults: 16 servers, 64 KiB strips
   cfg.num_clients = tile.num_clients();
   if (cache_on) {
@@ -363,99 +573,72 @@ CacheArm run_tile_cache(const workloads::TileConfig& tile, int frames,
     cfg.server.cache_capacity_bytes = 256ull << 20;  // holds the dataset
   }
   pfs::Cluster cluster(cfg);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);  // timing-only at this scale
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-  CacheArm out;
-  // Populate: open everywhere, then write every frame through the view.
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, const workloads::TileConfig& t, int rank,
-           int nframes, int& fail) -> Task<void> {
-          (void)co_await f.open("/frames", rank == 0);
-          f.set_view(0, types::byte_t(), t.tile_filetype(rank));
-          auto memtype = t.memtype();
-          for (int frame = 0; frame < nframes; ++frame) {
-            Status s = co_await f.write_at(
-                static_cast<std::int64_t>(frame) * t.tile_bytes(), nullptr, 1,
-                memtype, Method::kDatatype);
-            if (!s.is_ok()) ++fail;
-          }
-        }(*files[r], tile, r, frames, out.failures));
-  }
-  cluster.run();
+  Ranks ranks = make_ranks(cluster);
+  int failures = 0;
+  run_tile_pass(cluster, ranks, tile, frames, /*write=*/true, failures);
   // Make the write pass durable, then drop every cache (a fleet-wide
   // crash+restart) so the first read pass is genuinely cold. Both arms
   // crash so their timelines stay comparable.
   cluster.flush_caches();
   const SimTime t_crash = cluster.scheduler().now() + kMillisecond;
-  for (int s = 0; s < cfg.num_servers; ++s) {
-    cluster.schedule_server_crash(s, t_crash, kMillisecond);
+  for (int srv = 0; srv < cfg.num_servers; ++srv) {
+    cluster.schedule_server_crash(srv, t_crash, kMillisecond);
   }
   cluster.run();
   const std::uint64_t disk_after_populate =
       cluster.server_stats_total().disk_accesses;
-
-  auto read_pass = [&](double* seconds) {
-    const SimTime t0 = cluster.scheduler().now();
-    for (int r = 0; r < cfg.num_clients; ++r) {
-      cluster.scheduler().spawn(
-          [](mpiio::File& f, const workloads::TileConfig& t, int rank,
-             int nframes, int& fail) -> Task<void> {
-            f.set_view(0, types::byte_t(), t.tile_filetype(rank));
-            auto memtype = t.memtype();
-            for (int frame = 0; frame < nframes; ++frame) {
-              Status s = co_await f.read_at(
-                  static_cast<std::int64_t>(frame) * t.tile_bytes(), nullptr,
-                  1, memtype, Method::kDatatype);
-              if (!s.is_ok()) ++fail;
-            }
-          }(*files[r], tile, r, frames, out.failures));
-    }
-    cluster.run();
-    *seconds = to_seconds(cluster.scheduler().now() - t0);
-  };
-  read_pass(&out.cold_seconds);
+  run_tile_pass(cluster, ranks, tile, frames, /*write=*/false, failures);
   const std::uint64_t disk_after_cold =
       cluster.server_stats_total().disk_accesses;
-  read_pass(&out.warm_seconds);
-  out.totals = cluster.server_stats_total();
-  out.cold_disk = disk_after_cold - disk_after_populate;
-  out.warm_disk = out.totals.disk_accesses - disk_after_cold;
-  return out;
+  run_tile_pass(cluster, ranks, tile, frames, /*write=*/false, failures);
+  const pfs::ServerStats st = cluster.server_stats_total();
+
+  const std::string p = cache_on ? "cache_on_" : "cache_off_";
+  s[p + "cold_disk_accesses"] =
+      static_cast<double>(disk_after_cold - disk_after_populate);
+  s[p + "warm_disk_accesses"] =
+      static_cast<double>(st.disk_accesses - disk_after_cold);
+  s["cache_failures"] += failures;
+  if (!cache_on) return;
+  const std::uint64_t lookups = st.cache_hits + st.cache_misses;
+  s[p + "hits"] = static_cast<double>(st.cache_hits);
+  s[p + "misses"] = static_cast<double>(st.cache_misses);
+  s[p + "hit_ratio"] = lookups == 0 ? 0.0
+                                    : static_cast<double>(st.cache_hits) /
+                                          static_cast<double>(lookups);
+  s[p + "readahead_issued"] = static_cast<double>(st.cache_readahead_issued);
+  s[p + "evictions"] = static_cast<double>(st.cache_evictions);
+  s[p + "dirty_flushed_bytes"] =
+      static_cast<double>(st.cache_dirty_flushed_bytes);
+}
+
+/// Buffer-cache ablation (--cache): the same datatype tile reads with the
+/// server block cache on (64 KiB blocks, 256 MiB/server) vs off, each as a
+/// cold pass then a warm pass over identical data.
+void cache_ablation(const workloads::TileConfig& tile, int frames,
+                    Scalars& s) {
+  run_cache_arm(tile, frames, false, s);
+  run_cache_arm(tile, frames, true, s);
+  s["cache_warm_disk_access_ratio"] =
+      s["cache_off_warm_disk_accesses"] /
+      std::max(s["cache_on_warm_disk_accesses"], 1.0);
+  print_scalars(s,
+                "cache ablation: datatype reads, cold pass then warm pass, "
+                "cache off vs on",
+                "cache_");
 }
 
 /// One arm of the --replication ablation: a single client doing open-loop
-/// paced 64 KiB reads of a 4-server striped file, first over a healthy
+/// paced 16 KiB reads of a 4-server striped file, first over a healthy
 /// fleet (the latency baseline), then with server 1 crashed for the whole
 /// degraded window. With replication on (r=2) every degraded read fails
 /// over to server 1's replica on server 2; with it off, reads that need
 /// server 1 burn their retries and fail. The breaker trips on the first
 /// timeout and stays open past the outage, so exactly one degraded read
 /// pays the full rpc_timeout before failing over — the rest fast-fail
-/// straight to the replica and stay near the healthy baseline.
-struct ReplicationArm {
-  std::vector<SimTime> healthy;
-  std::vector<SimTime> degraded;
-  int degraded_ok = 0;
-  int healthy_failures = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t quorum_writes = 0;
-  std::uint64_t fast_fails = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t resyncs = 0;
-  std::uint64_t resync_bytes = 0;
-};
-
-ReplicationArm run_replication_arm(int replication) {
+/// straight to the replica and stay near the healthy baseline. The
+/// baseline arm (`on` false) records only availability and degraded p99.
+void run_replication_arm(int replication, bool on, Scalars& s) {
   constexpr int kHealthyReads = 100;
   constexpr int kDegradedReads = 100;
   constexpr SimTime kPace = 10 * kMillisecond;
@@ -482,104 +665,81 @@ ReplicationArm run_replication_arm(int replication) {
   pfs::Cluster cluster(cfg);
   auto client = cluster.make_client(0);
 
-  ReplicationArm out;
-  out.healthy.assign(kHealthyReads, 0);
-  out.degraded.assign(kDegradedReads, 0);
-
   // Create + write one stripe-spanning block (quorum-replicated at r>1).
-  std::uint64_t handle = 0;
-  cluster.scheduler().spawn(
-      [](pfs::Client& c, std::uint64_t& h, int& fail) -> Task<void> {
-        pfs::MetaResult f = co_await c.create("/repl");
-        if (!f.status.is_ok()) {
-          ++fail;
-          co_return;
-        }
-        h = f.handle;
-        std::vector<std::uint8_t> buf(kReadBytes, 0x5A);
-        Status w = co_await c.write_contig(
-            h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-        if (!w.is_ok()) ++fail;
-      }(*client, handle, out.healthy_failures));
-  cluster.run();
-
-  // Open-loop paced reads spawned at absolute times, so a slow op cannot
-  // shield the ops behind it from the outage window.
-  auto paced_reads = [&](SimTime t0, std::vector<SimTime>& lat, int* ok,
-                         int* fail) {
-    for (int i = 0; i < static_cast<int>(lat.size()); ++i) {
-      cluster.scheduler().spawn(
-          [](sim::Scheduler& sched, pfs::Client& c, std::uint64_t h,
-             SimTime due, SimTime& slot, int* ok, int* fail) -> Task<void> {
-            co_await sched.delay(due - sched.now());
-            std::vector<std::uint8_t> buf(kReadBytes);
-            const SimTime start = sched.now();
-            Status r = co_await c.read_contig(
-                h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-            slot = sched.now() - start;
-            if (r.is_ok()) {
-              if (ok != nullptr) ++*ok;
-            } else if (fail != nullptr) {
-              ++*fail;
-            }
-          }(cluster.scheduler(), *client, handle, t0 + i * kPace, lat[i], ok,
-            fail));
-    }
-    cluster.run();
-  };
+  int healthy_failures = 0;
+  const std::uint64_t handle =
+      seed_file(cluster, *client, "/repl",
+                std::vector<std::uint8_t>(kReadBytes, 0x5A), 1, 0,
+                healthy_failures);
 
   // Phase 1: healthy baseline.
-  paced_reads(cluster.scheduler().now() + kMillisecond, out.healthy, nullptr,
-              &out.healthy_failures);
+  std::vector<SimTime> healthy(kHealthyReads);
+  int healthy_ok = 0;
+  paced_reads(cluster, *client, handle, kReadBytes,
+              cluster.scheduler().now() + kMillisecond, kPace, healthy,
+              healthy_ok, healthy_failures);
 
   // Phase 2: server 1 down for the entire degraded window, then restart
   // (which triggers resync at r>1); the run drains through recovery.
   const SimTime t_deg = cluster.scheduler().now() + 2 * kMillisecond;
   const SimTime outage = kDegradedReads * kPace + 100 * kMillisecond;
   cluster.schedule_server_crash(1, t_deg - kMillisecond, outage);
-  paced_reads(t_deg, out.degraded, &out.degraded_ok, nullptr);
+  std::vector<SimTime> degraded(kDegradedReads);
+  int degraded_ok = 0;
+  int degraded_failures = 0;
+  paced_reads(cluster, *client, handle, kReadBytes, t_deg, kPace, degraded,
+              degraded_ok, degraded_failures);
 
-  out.failovers = client->read_failovers();
-  out.quorum_writes = client->quorum_writes();
-  out.fast_fails = client->breaker_fast_fails();
-  out.timeouts = client->rpc_timeouts();
-  const pfs::ServerStats totals = cluster.server_stats_total();
-  out.resyncs = totals.resyncs;
-  out.resync_bytes = totals.resync_bytes_pulled;
-  for (int s = 0; s < cfg.num_servers; ++s) {
-    out.crashes += cluster.server(s).stats().crashes;
-  }
-  return out;
+  const pfs::ServerStats st = cluster.server_stats_total();
+  s["repl_crashes"] += static_cast<double>(st.crashes);
+  s["repl_healthy_failures"] += healthy_failures;
+  const std::string p = on ? "repl_on_" : "repl_off_";
+  s[p + "read_availability"] = static_cast<double>(degraded_ok) /
+                               static_cast<double>(degraded.size());
+  const SimTime degraded_p99 = percentile_exact(degraded, 99);
+  s[p + "degraded_p99_us"] = degraded_p99 / 1e3;
+  if (!on) return;
+  const SimTime healthy_p99 = percentile_exact(healthy, 99);
+  s[p + "healthy_p99_us"] = healthy_p99 / 1e3;
+  s[p + "degraded_p99_ratio"] =
+      healthy_p99 == 0 ? 0.0
+                       : static_cast<double>(degraded_p99) /
+                             static_cast<double>(healthy_p99);
+  s[p + "read_failovers"] = static_cast<double>(client->read_failovers());
+  s[p + "breaker_fast_fails"] =
+      static_cast<double>(client->breaker_fast_fails());
+  s[p + "quorum_writes"] = static_cast<double>(client->quorum_writes());
+  s[p + "resyncs"] = static_cast<double>(st.resyncs);
+  s[p + "resync_bytes_pulled"] = static_cast<double>(st.resync_bytes_pulled);
+}
+
+/// Degraded-read ablation (--replication): open-loop paced reads with one
+/// server crashed for the whole window, replication off (r=1) vs on
+/// (--replication-r=N, default 2; N=1 degenerates to a second
+/// unreplicated arm that must reproduce the baseline arm exactly). CI
+/// asserts 100% read availability at r>1 with degraded p99 within 3x of
+/// the healthy baseline.
+void replication_ablation(int repl_r, Scalars& s) {
+  s["repl_factor"] = repl_r;
+  run_replication_arm(1, false, s);
+  run_replication_arm(repl_r, true, s);
+  print_scalars(s,
+                "replication ablation: 100 paced 16 KiB reads, server 1 "
+                "crashed for the window, r=1 vs r=repl_factor",
+                "repl_");
 }
 
 /// One arm of the --media-faults ablation: every even-indexed server's
 /// disk silently rots 0.5% of written strips and poisons 0.2% as latent
 /// sector errors, with per-page checksums and the background scrubber
-/// on. A 32 MiB file
-/// is written in 1 MiB chunks and read back chunk by chunk. At r=2 every
-/// read must detect, repair from a ring replica, and return exact bytes —
-/// and by the time the run drains the scrubber has converged every store
-/// (primary and replica segments) back to verifiably clean. At r=1 the
-/// same faults surface as typed kDataLoss on exactly the affected chunks;
-/// the client's data_loss_fast_fail stops it from burning the retry
-/// budget against an error that cannot clear.
-struct MediaArm {
-  int reads_ok = 0;
-  int reads_lost = 0;
-  int other_failures = 0;
-  std::uint64_t pages_rotted = 0;
-  std::uint64_t pages_poisoned = 0;
-  std::uint64_t detected = 0;       ///< pages flagged by read or scrub verify
-  std::uint64_t repairs = 0;        ///< read-path + scrub strip repairs
-  std::uint64_t server_data_loss = 0;
-  std::uint64_t client_data_loss = 0;
-  std::uint64_t scrub_passes = 0;
-  std::uint64_t scrub_blocks = 0;
-  std::uint64_t scrub_errors = 0;
-  std::uint64_t residual_bad_pages = 0;  ///< pages still failing verify at end
-};
-
-MediaArm run_media_arm(int replication) {
+/// on. A 32 MiB file is written in 1 MiB chunks and read back chunk by
+/// chunk. At r=2 every read must detect, repair from a ring replica, and
+/// return exact bytes — and by the time the run drains the scrubber has
+/// converged every store (primary and replica segments) back to
+/// verifiably clean. At r=1 the same faults surface as typed kDataLoss on
+/// exactly the affected chunks; the client's data_loss_fast_fail stops it
+/// from burning the retry budget against an error that cannot clear.
+void run_media_arm(int replication, bool on, Scalars& s) {
   constexpr int kChunks = 32;
   constexpr std::int64_t kChunkBytes = 1 << 20;  // 1 MiB
 
@@ -603,41 +763,29 @@ MediaArm run_media_arm(int replication) {
   // r=2 can (and must) hold 100% read success. Per-strip write granularity
   // means the per-page corruption density is ~16x the per-write rate.
   net::FaultPlan plan(mix_seed(cfg.seed, /*salt=*/0xD15C));
-  for (int s = 0; s < cfg.num_servers; s += 2) {
-    plan.set_disk_spec(s, net::DiskFaultSpec{.bit_rot = 0.005,
-                                             .sector_error = 0.002});
+  for (int srv = 0; srv < cfg.num_servers; srv += 2) {
+    plan.set_disk_spec(srv, net::DiskFaultSpec{.bit_rot = 0.005,
+                                               .sector_error = 0.002});
   }
   cluster.set_fault_plan(&plan);
   auto client = cluster.make_client(0);
 
-  MediaArm out;
-  std::uint64_t handle = 0;
-  cluster.scheduler().spawn(
-      [](pfs::Client& c, std::uint64_t& h, int& fail) -> Task<void> {
-        pfs::MetaResult f = co_await c.create("/media");
-        if (!f.status.is_ok()) {
-          ++fail;
-          co_return;
-        }
-        h = f.handle;
-        std::vector<std::uint8_t> buf(static_cast<std::size_t>(kChunkBytes));
-        Rng fill(4096);
-        for (auto& b : buf) b = static_cast<std::uint8_t>(fill.next());
-        for (int chunk = 0; chunk < kChunks; ++chunk) {
-          Status w = co_await c.write_contig(h, chunk * kChunkBytes,
-                                             buf.data(), kChunkBytes);
-          if (!w.is_ok()) ++fail;
-        }
-      }(*client, handle, out.other_failures));
-  cluster.run();
+  std::vector<std::uint8_t> chunk(static_cast<std::size_t>(kChunkBytes));
+  Rng fill(4096);
+  for (auto& b : chunk) b = static_cast<std::uint8_t>(fill.next());
+  int failures = 0;
+  const std::uint64_t handle =
+      seed_file(cluster, *client, "/media", chunk, kChunks, 0, failures);
 
+  int reads_ok = 0;
+  int reads_lost = 0;
   cluster.scheduler().spawn(
       [](pfs::Client& c, std::uint64_t h, int& ok, int& lost,
          int& fail) -> Task<void> {
         std::vector<std::uint8_t> buf(static_cast<std::size_t>(kChunkBytes));
-        for (int chunk = 0; chunk < kChunks; ++chunk) {
-          Status r = co_await c.read_contig(h, chunk * kChunkBytes,
-                                            buf.data(), kChunkBytes);
+        for (int i = 0; i < kChunks; ++i) {
+          Status r = co_await c.read_contig(h, i * kChunkBytes, buf.data(),
+                                            kChunkBytes);
           if (r.is_ok()) {
             ++ok;
           } else if (r.code() == StatusCode::kDataLoss) {
@@ -646,135 +794,75 @@ MediaArm run_media_arm(int replication) {
             ++fail;
           }
         }
-      }(*client, handle, out.reads_ok, out.reads_lost, out.other_failures));
+      }(*client, handle, reads_ok, reads_lost, failures));
   cluster.run();  // drains through the scrubber's final clean cycle
 
-  const pfs::ServerStats totals = cluster.server_stats_total();
-  out.detected = totals.media_sector_errors + totals.media_bit_rot_detected +
-                 totals.media_torn_detected;
-  out.repairs = totals.media_repairs + totals.scrub_repairs;
-  out.server_data_loss = totals.media_data_loss;
-  out.client_data_loss = client->data_loss_surfaced();
-  out.scrub_passes = totals.scrub_passes;
-  out.scrub_blocks = totals.scrub_blocks;
-  out.scrub_errors = totals.scrub_errors;
-  for (int s = 0; s < cfg.num_servers; ++s) {
-    out.pages_rotted += cluster.server(s).media().pages_rotted;
-    out.pages_poisoned += cluster.server(s).media().pages_poisoned;
-    if (const pfs::Bstream* bs = cluster.server(s).find_bstream(handle)) {
-      out.residual_bad_pages += bs->verify_range(0, bs->size()).size();
+  std::uint64_t rotted = 0;
+  std::uint64_t poisoned = 0;
+  std::uint64_t residual_bad = 0;  // pages still failing verify at the end
+  for (int srv = 0; srv < cfg.num_servers; ++srv) {
+    rotted += cluster.server(srv).media().pages_rotted;
+    poisoned += cluster.server(srv).media().pages_poisoned;
+    if (const pfs::Bstream* bs = cluster.server(srv).find_bstream(handle)) {
+      residual_bad += bs->verify_range(0, bs->size()).size();
     }
-    for (int p = 0; p < cfg.num_servers; ++p) {
+    for (int peer = 0; peer < cfg.num_servers; ++peer) {
       if (const pfs::Bstream* bs =
-              cluster.server(s).find_replica_bstream(handle, p)) {
-        out.residual_bad_pages += bs->verify_range(0, bs->size()).size();
+              cluster.server(srv).find_replica_bstream(handle, peer)) {
+        residual_bad += bs->verify_range(0, bs->size()).size();
       }
     }
   }
-  return out;
+  const pfs::ServerStats st = cluster.server_stats_total();
+  const std::string p = on ? "media_on_" : "media_off_";
+  s["media_failures"] += failures;
+  s[p + "reads_ok"] = reads_ok;
+  s[p + "reads_lost"] = reads_lost;
+  s[p + "pages_rotted"] = static_cast<double>(rotted);
+  s[p + "pages_poisoned"] = static_cast<double>(poisoned);
+  s[p + "detected"] = static_cast<double>(st.media_sector_errors +
+                                          st.media_bit_rot_detected +
+                                          st.media_torn_detected);
+  s[p + "server_data_loss"] = static_cast<double>(st.media_data_loss);
+  s[p + "client_data_loss"] = static_cast<double>(client->data_loss_surfaced());
+  s[p + "residual_bad_pages"] = static_cast<double>(residual_bad);
+  if (!on) {
+    s[p + "scrub_errors"] = static_cast<double>(st.scrub_errors);
+    return;
+  }
+  s[p + "repairs"] =
+      static_cast<double>(st.media_repairs + st.scrub_repairs);
+  s[p + "scrub_passes"] = static_cast<double>(st.scrub_passes);
+  s[p + "scrub_blocks"] = static_cast<double>(st.scrub_blocks);
 }
 
-/// The instrumented convoy scenario (--overload): 8 clients in a closed
-/// loop hammering one decode-bound server (request_overhead raised to
-/// 2 ms) with small contiguous reads. The server's mailbox backs up, so
-/// nearly all of each op's latency is queue-wait — the canonical case for
-/// phase attribution. Runs with the timeline sampler on (1 ms period) and
-/// exports trace_overload.json; CI feeds that trace to dtio_inspect and
-/// gates on >= 95% typed-phase coverage at p99 with server_queue dominant.
-struct ConvoyRun {
-  double seconds = 0;
-  int failures = 0;
-  obs::PhaseReport phases;       ///< contig_read ops only
-  double queue_peak = 0;         ///< server 0 mailbox depth high-water mark
-  std::uint64_t timeline_series = 0;
-};
-
-ConvoyRun run_overload_convoy(obs::Observability& obs,
-                              const std::string& trace_path) {
-  constexpr int kClients = 8;
-  constexpr int kReadsPerClient = 30;
-  constexpr std::size_t kReadBytes = 4096;
-
-  net::ClusterConfig cfg;
-  cfg.num_servers = 1;
-  cfg.num_clients = kClients;
-  cfg.server.request_overhead = 2 * kMillisecond;  // decode-bound server
-  // Reliable RPC path armed (typed client-side queue/backoff spans) but
-  // the timeout is ~50x any convoy queue wait, so no attempt ever
-  // retries. Kept small because each pending recv_for timer extends the
-  // post-run event drain (and thus the sampled window) by one timeout.
-  cfg.client.rpc_timeout = kSecond;
-  cfg.client.rpc_max_attempts = 1;
-
-  pfs::Cluster cluster(cfg);
-  cluster.set_observability(&obs);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  for (int r = 0; r < kClients; ++r) clients.push_back(cluster.make_client(r));
-
-  ConvoyRun out;
-  std::uint64_t handle = 0;
-  cluster.scheduler().spawn(
-      [](pfs::Client& c, std::uint64_t& h, int& fail) -> Task<void> {
-        pfs::MetaResult f = co_await c.create("/convoy");
-        if (!f.status.is_ok()) {
-          ++fail;
-          co_return;
-        }
-        h = f.handle;
-        std::vector<std::uint8_t> buf(kReadBytes, 0x5A);
-        Status w = co_await c.write_contig(
-            h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-        if (!w.is_ok()) ++fail;
-      }(*clients[0], handle, out.failures));
-  cluster.run();
-
-  const SimTime t0 = cluster.scheduler().now();
-  for (int r = 0; r < kClients; ++r) {
-    cluster.scheduler().spawn(
-        [](pfs::Client& c, std::uint64_t h, int& fail) -> Task<void> {
-          std::vector<std::uint8_t> buf(kReadBytes);
-          for (int i = 0; i < kReadsPerClient; ++i) {
-            Status s = co_await c.read_contig(
-                h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-            if (!s.is_ok()) ++fail;
-          }
-        }(*clients[r], handle, out.failures));
-  }
-  cluster.run();
-  out.seconds = to_seconds(cluster.scheduler().now() - t0);
-
-  if (!trace_path.empty() && cluster.write_trace(trace_path)) {
-    std::printf("chrome trace (overload convoy): %s\n", trace_path.c_str());
-  }
-  std::vector<obs::OpBreakdown> ops = obs::decompose_ops(obs.spans);
-  std::erase_if(ops, [](const obs::OpBreakdown& op) {
-    return op.name != "contig_read";
-  });
-  out.phases = obs::summarize_phases(std::move(ops));
-  for (const auto& series : obs.timeline.all()) {
-    ++out.timeline_series;
-    if (series->name() == "queue_depth" && series->node() == 0) {
-      out.queue_peak = series->peak_value();
-    }
-  }
-  return out;
-}
-
-/// Nearest-rank percentile over the raw latency samples (exact, not the
-/// log-linear histogram estimate).
-SimTime percentile_exact(std::vector<SimTime> v, double p) {
-  std::sort(v.begin(), v.end());
-  const auto rank = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, static_cast<std::int64_t>(
-             p / 100.0 * static_cast<double>(v.size()) + 0.5) -
-             1));
-  return v[std::min(rank, v.size() - 1)];
+/// Storage-integrity ablation (--media-faults): 32 MiB written and read
+/// back under 0.5% bit rot + 0.2% latent sector errors on the even-indexed
+/// disks, with checksums and the scrubber on, r=1 vs r=2 (--media-r=N).
+/// CI asserts 100% read success and zero residual bad pages at r=2, and
+/// typed-loss accounting (every lost read booked as kDataLoss on both
+/// sides) at r=1.
+void media_ablation(int media_r, Scalars& s) {
+  s["media_factor"] = media_r;
+  run_media_arm(1, false, s);
+  run_media_arm(media_r, true, s);
+  print_scalars(s,
+                "media-fault ablation: 32 MiB, 0.5% bit rot + 0.2% LSE on "
+                "even-indexed disks, checksums + scrub on, r=1 vs "
+                "r=media_factor",
+                "media_");
 }
 
 int tile_main(int argc, char** argv) {
   const workloads::TileConfig tile;
-  const int frames =
-      static_cast<int>(bench::flag_int(argc, argv, "--frames", 100));
+  const std::int64_t frames_flag =
+      bench::flag_int(argc, argv, "--frames", 100);
+  if (frames_flag < 1 || frames_flag > INT_MAX) {
+    std::fprintf(stderr, "error: --frames must be between 1 and %d, got %lld\n",
+                 INT_MAX, static_cast<long long>(frames_flag));
+    return 2;
+  }
+  const int frames = static_cast<int>(frames_flag);
   const bool use_obs = bench::obs_enabled(argc, argv);
   // --trace=PATH exports the datatype-I/O run as a Chrome trace-event
   // file (the paper's contribution is the most interesting timeline).
@@ -817,390 +905,34 @@ int tile_main(int argc, char** argv) {
   std::printf("  paper: POSIX 768 ops; sieving 5.56 MB accessed; two-phase "
               "1 op, 1.50 MB resent; list 12 ops; datatype 1 op\n");
 
-  // Pruned-expansion ablation at the paper configuration (16 servers,
-  // 64 KiB strips): the same datatype run with server-side subtree pruning
-  // on (default) and off (legacy full expansion). Fleet-aggregate
-  // regions_walked is the cost the pruning removes: with the flag off
-  // every server walks every piece of the access.
-  ServerAgg pruned_on;
-  ServerAgg pruned_off;
-  const MethodResult on_result =
-      run_tile(Method::kDatatype, tile, frames, false, "", true, &pruned_on);
-  const MethodResult off_result =
-      run_tile(Method::kDatatype, tile, frames, false, "", false, &pruned_off);
-  const double walk_ratio =
-      pruned_on.regions_walked == 0
-          ? 0.0
-          : static_cast<double>(pruned_off.regions_walked) /
-                static_cast<double>(pruned_on.regions_walked);
-  std::printf("\nablation: server.pruned_expansion (datatype method)\n");
-  std::printf("  on : regions_walked=%llu subtrees_skipped=%llu "
-              "pieces_pruned=%llu sim=%.3fs\n",
-              static_cast<unsigned long long>(pruned_on.regions_walked),
-              static_cast<unsigned long long>(pruned_on.subtrees_skipped),
-              static_cast<unsigned long long>(pruned_on.pieces_pruned),
-              on_result.seconds);
-  std::printf("  off: regions_walked=%llu sim=%.3fs  (walk ratio %.1fx)\n",
-              static_cast<unsigned long long>(pruned_off.regions_walked),
-              off_result.seconds, walk_ratio);
-
   obs::RunReport report;
   report.bench = "tile_reader";
   report.params["frames"] = frames;
   report.params["clients"] = tile.num_clients();
   report.params["frame_bytes"] = static_cast<double>(tile.frame_bytes());
   for (const auto& r : results) report.methods.push_back(bench::to_report(r));
-  report.scalars["pruned_on_regions_walked"] =
-      static_cast<double>(pruned_on.regions_walked);
-  report.scalars["pruned_off_regions_walked"] =
-      static_cast<double>(pruned_off.regions_walked);
-  report.scalars["pruned_regions_walked_ratio"] = walk_ratio;
-  report.scalars["pruned_on_my_pieces"] =
-      static_cast<double>(pruned_on.my_pieces);
-  report.scalars["pruned_on_subtrees_skipped"] =
-      static_cast<double>(pruned_on.subtrees_skipped);
-  report.scalars["pruned_on_pieces_pruned"] =
-      static_cast<double>(pruned_on.pieces_pruned);
-  report.scalars["pruned_on_sim_seconds"] = on_result.seconds;
-  report.scalars["pruned_off_sim_seconds"] = off_result.seconds;
 
-  // Fault-injection ablation (--chaos): datatype reads under 5% drop + 2%
-  // duplicate + 1% corrupt + one server crash, with retries on vs off.
-  // Gated so the default report stays byte-identical.
+  pruned_ablation(tile, frames, report.scalars);
   if (bench::flag_set(argc, argv, "--chaos")) {
-    const int reads_total = frames * tile.num_clients();
-    const ChaosRun clean = run_tile_chaos(tile, frames, false, 6);
-    const ChaosRun faulty = run_tile_chaos(tile, frames, true, 6);
-    const ChaosRun noretry = run_tile_chaos(tile, frames, true, 1);
-    const double slowdown =
-        clean.seconds == 0 ? 0.0 : faulty.seconds / clean.seconds;
-    std::printf("\nchaos ablation: datatype reads, %d frames x %d clients, "
-                "5%% drop + 2%% dup + 1%% corrupt + server 3 crash\n",
-                frames, tile.num_clients());
-    std::printf("  fault-free : sim=%.3fs\n", clean.seconds);
-    std::printf("  retries on : sim=%.3fs (%.2fx) failures=%d/%d "
-                "retries=%llu timeouts=%llu replays=%llu crc_rejects=%llu "
-                "crashes=%llu faults=%llu\n",
-                faulty.seconds, slowdown, faulty.failures, reads_total,
-                static_cast<unsigned long long>(faulty.client_retries),
-                static_cast<unsigned long long>(faulty.client_timeouts),
-                static_cast<unsigned long long>(faulty.replays),
-                static_cast<unsigned long long>(faulty.crc_rejects),
-                static_cast<unsigned long long>(faulty.crashes),
-                static_cast<unsigned long long>(faulty.faults.total()));
-    std::printf("               sheds=%llu hedges_issued=%llu "
-                "hedges_won=%llu\n",
-                static_cast<unsigned long long>(faulty.sheds),
-                static_cast<unsigned long long>(faulty.hedges_issued),
-                static_cast<unsigned long long>(faulty.hedges_won));
-    std::printf("  retries off: sim=%.3fs failures=%d/%d (every fault that "
-                "hits a request is terminal)\n",
-                noretry.seconds, noretry.failures, reads_total);
-    report.scalars["chaos_clean_sim_seconds"] = clean.seconds;
-    report.scalars["chaos_sim_seconds"] = faulty.seconds;
-    report.scalars["chaos_slowdown"] = slowdown;
-    report.scalars["chaos_failures"] = faulty.failures;
-    report.scalars["chaos_retries"] =
-        static_cast<double>(faulty.client_retries);
-    report.scalars["chaos_timeouts"] =
-        static_cast<double>(faulty.client_timeouts);
-    report.scalars["chaos_replays"] = static_cast<double>(faulty.replays);
-    report.scalars["chaos_crc_rejects"] =
-        static_cast<double>(faulty.crc_rejects);
-    report.scalars["chaos_crashes"] = static_cast<double>(faulty.crashes);
-    report.scalars["chaos_faults_injected"] =
-        static_cast<double>(faulty.faults.total());
-    report.scalars["chaos_noretry_failures"] = noretry.failures;
-    report.scalars["chaos_sheds"] = static_cast<double>(faulty.sheds);
-    report.scalars["chaos_hedges_issued"] =
-        static_cast<double>(faulty.hedges_issued);
-    report.scalars["chaos_hedges_won"] =
-        static_cast<double>(faulty.hedges_won);
+    chaos_ablation(tile, frames, report.scalars);
   }
-
-  // Tail-latency ablation (--overload): the same degraded-server scenario
-  // with the overload layer (hedged reads + circuit breaker + AIMD
-  // window) on vs off. Gated so the default report stays byte-identical.
   if (bench::flag_set(argc, argv, "--overload")) {
-    const OverloadArm off = run_overload_arm(false);
-    const OverloadArm on = run_overload_arm(true);
-    const SimTime p99_off = percentile_exact(off.latencies, 99);
-    const SimTime p99_on = percentile_exact(on.latencies, 99);
-    const double p99_ratio =
-        p99_on == 0 ? 0.0
-                    : static_cast<double>(p99_off) / static_cast<double>(p99_on);
-    std::printf("\noverload ablation: 100 paced 16 KiB reads, server 1 "
-                "degraded 4x for 150 ms\n");
-    std::printf("  hedging off: p50=%.0fus p99=%.0fus p999=%.0fus "
-                "timeouts=%llu failures=%d\n",
-                percentile_exact(off.latencies, 50) / 1e3, p99_off / 1e3,
-                percentile_exact(off.latencies, 99.9) / 1e3,
-                static_cast<unsigned long long>(off.timeouts), off.failures);
-    std::printf("  hedging on : p50=%.0fus p99=%.0fus p999=%.0fus "
-                "hedges=%llu won=%llu timeouts=%llu failures=%d\n",
-                percentile_exact(on.latencies, 50) / 1e3, p99_on / 1e3,
-                percentile_exact(on.latencies, 99.9) / 1e3,
-                static_cast<unsigned long long>(on.hedges_issued),
-                static_cast<unsigned long long>(on.hedges_won),
-                static_cast<unsigned long long>(on.timeouts), on.failures);
-    std::printf("  read p99 improvement: %.1fx\n", p99_ratio);
-    report.scalars["overload_off_read_p50_us"] =
-        percentile_exact(off.latencies, 50) / 1e3;
-    report.scalars["overload_off_read_p99_us"] = p99_off / 1e3;
-    report.scalars["overload_off_read_p999_us"] =
-        percentile_exact(off.latencies, 99.9) / 1e3;
-    report.scalars["overload_on_read_p50_us"] =
-        percentile_exact(on.latencies, 50) / 1e3;
-    report.scalars["overload_on_read_p99_us"] = p99_on / 1e3;
-    report.scalars["overload_on_read_p999_us"] =
-        percentile_exact(on.latencies, 99.9) / 1e3;
-    report.scalars["overload_p99_ratio"] = p99_ratio;
-    report.scalars["overload_off_hedges_issued"] =
-        static_cast<double>(off.hedges_issued);
-    report.scalars["overload_on_hedges_issued"] =
-        static_cast<double>(on.hedges_issued);
-    report.scalars["overload_on_hedges_won"] =
-        static_cast<double>(on.hedges_won);
-    report.scalars["overload_off_timeouts"] =
-        static_cast<double>(off.timeouts);
-    report.scalars["overload_on_timeouts"] = static_cast<double>(on.timeouts);
-    report.scalars["overload_failures"] = off.failures + on.failures;
-
-    // Instrumented convoy: where does the time go when one server backs
-    // up? Timeline sampler on (1 ms), full phase attribution, Chrome
-    // trace exported for dtio_inspect.
-    obs::ObsConfig obs_cfg;
-    obs_cfg.sample_period = kMillisecond;
-    obs_cfg.timeline_capacity = 8192;  // whole run retained, zero dropped
-    obs::Observability convoy_obs(obs_cfg);
     const std::string convoy_trace =
         bench::flag_str(argc, argv, "--trace-overload", "trace_overload.json");
-    const ConvoyRun convoy =
-        run_overload_convoy(convoy_obs, use_obs ? convoy_trace : "");
-    const obs::PhaseQuantile* cp99 = convoy.phases.quantile(99);
-    std::printf("  convoy (1 server, 8 clients, 2 ms decode): %llu ops, "
-                "p99=%.1fms coverage=%.1f%% dominant=%s queue peak=%.0f\n",
-                static_cast<unsigned long long>(convoy.phases.ops),
-                cp99 != nullptr ? cp99->latency_ns / 1e6 : 0.0,
-                cp99 != nullptr ? 100.0 * cp99->coverage : 0.0,
-                cp99 != nullptr ? obs::phase_name(cp99->dominant) : "none",
-                convoy.queue_peak);
-    report.scalars["overload_convoy_ops"] =
-        static_cast<double>(convoy.phases.ops);
-    report.scalars["overload_convoy_sim_seconds"] = convoy.seconds;
-    report.scalars["overload_convoy_failures"] = convoy.failures;
-    report.scalars["overload_convoy_queue_peak"] = convoy.queue_peak;
-    if (cp99 != nullptr) {
-      report.scalars["overload_convoy_p99_ms"] = cp99->latency_ns / 1e6;
-      report.scalars["overload_convoy_coverage_p99"] = cp99->coverage;
-      report.scalars["overload_convoy_queue_share_p99"] =
-          cp99->latency_ns <= 0
-              ? 0.0
-              : cp99->phase_ns[static_cast<std::size_t>(
-                    obs::Phase::kServerQueue)] /
-                    cp99->latency_ns;
-    }
-    report.phases.emplace_back("contig_read", convoy.phases);
-    report.add_timeline(convoy_obs.timeline);
+    overload_ablation(use_obs ? convoy_trace : "", report);
   }
-
-  // Buffer-cache ablation (--cache): the same datatype tile reads with
-  // the server block cache on (64 KiB blocks, 256 MiB/server) vs off,
-  // each as a cold pass then a warm pass over identical data. Gated so
-  // the default report stays byte-identical.
   if (bench::flag_set(argc, argv, "--cache")) {
-    const CacheArm off = run_tile_cache(tile, frames, false);
-    const CacheArm on = run_tile_cache(tile, frames, true);
-    const double warm_ratio = static_cast<double>(off.warm_disk) /
-                              static_cast<double>(std::max<std::uint64_t>(
-                                  on.warm_disk, 1));
-    const std::uint64_t lookups = on.totals.cache_hits + on.totals.cache_misses;
-    const double hit_ratio =
-        lookups == 0 ? 0.0
-                     : static_cast<double>(on.totals.cache_hits) /
-                           static_cast<double>(lookups);
-    std::printf("\ncache ablation: datatype reads, %d frames x %d clients, "
-                "cold pass then warm pass\n",
-                frames, tile.num_clients());
-    std::printf("  cache off: cold disk=%llu (%.3fs)  warm disk=%llu "
-                "(%.3fs)\n",
-                static_cast<unsigned long long>(off.cold_disk),
-                off.cold_seconds,
-                static_cast<unsigned long long>(off.warm_disk),
-                off.warm_seconds);
-    std::printf("  cache on : cold disk=%llu (%.3fs)  warm disk=%llu "
-                "(%.3fs)\n",
-                static_cast<unsigned long long>(on.cold_disk),
-                on.cold_seconds,
-                static_cast<unsigned long long>(on.warm_disk),
-                on.warm_seconds);
-    std::printf("  hits=%llu misses=%llu hit_ratio=%.3f readahead=%llu "
-                "evictions=%llu flushed=%llu B\n",
-                static_cast<unsigned long long>(on.totals.cache_hits),
-                static_cast<unsigned long long>(on.totals.cache_misses),
-                hit_ratio,
-                static_cast<unsigned long long>(
-                    on.totals.cache_readahead_issued),
-                static_cast<unsigned long long>(on.totals.cache_evictions),
-                static_cast<unsigned long long>(
-                    on.totals.cache_dirty_flushed_bytes));
-    std::printf("  warm-pass disk-access reduction: %.1fx\n", warm_ratio);
-    report.scalars["cache_off_cold_disk_accesses"] =
-        static_cast<double>(off.cold_disk);
-    report.scalars["cache_off_warm_disk_accesses"] =
-        static_cast<double>(off.warm_disk);
-    report.scalars["cache_on_cold_disk_accesses"] =
-        static_cast<double>(on.cold_disk);
-    report.scalars["cache_on_warm_disk_accesses"] =
-        static_cast<double>(on.warm_disk);
-    report.scalars["cache_warm_disk_access_ratio"] = warm_ratio;
-    report.scalars["cache_on_hits"] = static_cast<double>(on.totals.cache_hits);
-    report.scalars["cache_on_misses"] =
-        static_cast<double>(on.totals.cache_misses);
-    report.scalars["cache_on_hit_ratio"] = hit_ratio;
-    report.scalars["cache_on_readahead_issued"] =
-        static_cast<double>(on.totals.cache_readahead_issued);
-    report.scalars["cache_on_evictions"] =
-        static_cast<double>(on.totals.cache_evictions);
-    report.scalars["cache_on_dirty_flushed_bytes"] =
-        static_cast<double>(on.totals.cache_dirty_flushed_bytes);
-    report.scalars["cache_failures"] = off.failures + on.failures;
+    cache_ablation(tile, frames, report.scalars);
   }
-
-  // Degraded-read ablation (--replication): open-loop paced reads with one
-  // server crashed for the whole window, replication off (r=1) vs on
-  // (r=2). Gated so the default report stays byte-identical. CI asserts
-  // 100% read availability under r=2 with degraded p99 within 3x of the
-  // healthy baseline.
   if (bench::flag_set(argc, argv, "--replication")) {
-    // --replication-r=N sets the replicated arm's factor (CI runs a
-    // matrix over 1, 2, 3; N=1 degenerates to a second unreplicated arm
-    // that must reproduce the baseline arm exactly).
-    const int repl_r = static_cast<int>(
-        bench::flag_int(argc, argv, "--replication-r", 2));
-    const ReplicationArm off = run_replication_arm(1);
-    const ReplicationArm on = run_replication_arm(repl_r);
-    const double off_avail = static_cast<double>(off.degraded_ok) /
-                             static_cast<double>(off.degraded.size());
-    const double on_avail = static_cast<double>(on.degraded_ok) /
-                            static_cast<double>(on.degraded.size());
-    const SimTime on_healthy_p99 = percentile_exact(on.healthy, 99);
-    const SimTime on_degraded_p99 = percentile_exact(on.degraded, 99);
-    const double p99_ratio =
-        on_healthy_p99 == 0 ? 0.0
-                            : static_cast<double>(on_degraded_p99) /
-                                  static_cast<double>(on_healthy_p99);
-    std::printf("\nreplication ablation: 100 paced 16 KiB reads, server 1 "
-                "crashed for the window, r=1 vs r=%d\n",
-                repl_r);
-    std::printf("  r=1: availability=%.0f%% (%d/%zu ok) degraded "
-                "p99=%.0fus timeouts=%llu\n",
-                100.0 * off_avail, off.degraded_ok, off.degraded.size(),
-                percentile_exact(off.degraded, 99) / 1e3,
-                static_cast<unsigned long long>(off.timeouts));
-    std::printf("  r=%d: availability=%.0f%% (%d/%zu ok) healthy p99=%.0fus "
-                "degraded p99=%.0fus (%.2fx) failovers=%llu "
-                "fast_fails=%llu\n",
-                repl_r, 100.0 * on_avail, on.degraded_ok, on.degraded.size(),
-                on_healthy_p99 / 1e3, on_degraded_p99 / 1e3, p99_ratio,
-                static_cast<unsigned long long>(on.failovers),
-                static_cast<unsigned long long>(on.fast_fails));
-    std::printf("       quorum_writes=%llu crashes=%llu resyncs=%llu "
-                "resync_bytes=%llu\n",
-                static_cast<unsigned long long>(on.quorum_writes),
-                static_cast<unsigned long long>(on.crashes),
-                static_cast<unsigned long long>(on.resyncs),
-                static_cast<unsigned long long>(on.resync_bytes));
-    report.scalars["repl_factor"] = repl_r;
-    report.scalars["repl_off_read_availability"] = off_avail;
-    report.scalars["repl_on_read_availability"] = on_avail;
-    report.scalars["repl_off_degraded_p99_us"] =
-        percentile_exact(off.degraded, 99) / 1e3;
-    report.scalars["repl_on_healthy_p99_us"] = on_healthy_p99 / 1e3;
-    report.scalars["repl_on_degraded_p99_us"] = on_degraded_p99 / 1e3;
-    report.scalars["repl_on_degraded_p99_ratio"] = p99_ratio;
-    report.scalars["repl_on_read_failovers"] =
-        static_cast<double>(on.failovers);
-    report.scalars["repl_on_breaker_fast_fails"] =
-        static_cast<double>(on.fast_fails);
-    report.scalars["repl_on_quorum_writes"] =
-        static_cast<double>(on.quorum_writes);
-    report.scalars["repl_on_resyncs"] = static_cast<double>(on.resyncs);
-    report.scalars["repl_on_resync_bytes_pulled"] =
-        static_cast<double>(on.resync_bytes);
-    report.scalars["repl_crashes"] =
-        static_cast<double>(off.crashes + on.crashes);
-    report.scalars["repl_healthy_failures"] =
-        off.healthy_failures + on.healthy_failures;
+    replication_ablation(static_cast<int>(bench::flag_int(
+                             argc, argv, "--replication-r", 2)),
+                         report.scalars);
   }
-
-  // Storage-integrity ablation (--media-faults): 32 MiB written and read
-  // back under 0.5% bit rot + 0.2% latent sector errors on every disk,
-  // with checksums and the scrubber on, r=1 vs r=2 (--media-r=N). Gated
-  // so the default report stays byte-identical. CI asserts 100% read
-  // success and zero residual bad pages at r=2, and typed-loss accounting
-  // (every lost read booked as kDataLoss on both sides) at r=1.
   if (bench::flag_set(argc, argv, "--media-faults")) {
-    const int media_r =
-        static_cast<int>(bench::flag_int(argc, argv, "--media-r", 2));
-    const MediaArm off = run_media_arm(1);
-    const MediaArm on = run_media_arm(media_r);
-    std::printf("\nmedia-fault ablation: 32 MiB, 0.5%% bit rot + 0.2%% LSE "
-                "on even-indexed disks, checksums + scrub on, r=1 vs r=%d\n",
-                media_r);
-    std::printf("  r=1: reads ok=%d lost=%d  injected rot=%llu lse=%llu  "
-                "detected=%llu  scrub_errors=%llu residual_bad=%llu\n",
-                off.reads_ok, off.reads_lost,
-                static_cast<unsigned long long>(off.pages_rotted),
-                static_cast<unsigned long long>(off.pages_poisoned),
-                static_cast<unsigned long long>(off.detected),
-                static_cast<unsigned long long>(off.scrub_errors),
-                static_cast<unsigned long long>(off.residual_bad_pages));
-    std::printf("  r=%d: reads ok=%d lost=%d  injected rot=%llu lse=%llu  "
-                "detected=%llu  repairs=%llu scrub_passes=%llu "
-                "residual_bad=%llu\n",
-                media_r, on.reads_ok, on.reads_lost,
-                static_cast<unsigned long long>(on.pages_rotted),
-                static_cast<unsigned long long>(on.pages_poisoned),
-                static_cast<unsigned long long>(on.detected),
-                static_cast<unsigned long long>(on.repairs),
-                static_cast<unsigned long long>(on.scrub_passes),
-                static_cast<unsigned long long>(on.residual_bad_pages));
-    report.scalars["media_factor"] = media_r;
-    report.scalars["media_off_reads_ok"] = off.reads_ok;
-    report.scalars["media_off_reads_lost"] = off.reads_lost;
-    report.scalars["media_off_pages_rotted"] =
-        static_cast<double>(off.pages_rotted);
-    report.scalars["media_off_pages_poisoned"] =
-        static_cast<double>(off.pages_poisoned);
-    report.scalars["media_off_detected"] = static_cast<double>(off.detected);
-    report.scalars["media_off_server_data_loss"] =
-        static_cast<double>(off.server_data_loss);
-    report.scalars["media_off_client_data_loss"] =
-        static_cast<double>(off.client_data_loss);
-    report.scalars["media_off_scrub_errors"] =
-        static_cast<double>(off.scrub_errors);
-    report.scalars["media_off_residual_bad_pages"] =
-        static_cast<double>(off.residual_bad_pages);
-    report.scalars["media_on_reads_ok"] = on.reads_ok;
-    report.scalars["media_on_reads_lost"] = on.reads_lost;
-    report.scalars["media_on_pages_rotted"] =
-        static_cast<double>(on.pages_rotted);
-    report.scalars["media_on_pages_poisoned"] =
-        static_cast<double>(on.pages_poisoned);
-    report.scalars["media_on_detected"] = static_cast<double>(on.detected);
-    report.scalars["media_on_repairs"] = static_cast<double>(on.repairs);
-    report.scalars["media_on_server_data_loss"] =
-        static_cast<double>(on.server_data_loss);
-    report.scalars["media_on_client_data_loss"] =
-        static_cast<double>(on.client_data_loss);
-    report.scalars["media_on_scrub_passes"] =
-        static_cast<double>(on.scrub_passes);
-    report.scalars["media_on_scrub_blocks"] =
-        static_cast<double>(on.scrub_blocks);
-    report.scalars["media_on_residual_bad_pages"] =
-        static_cast<double>(on.residual_bad_pages);
-    report.scalars["media_failures"] = off.other_failures + on.other_failures;
+    media_ablation(
+        static_cast<int>(bench::flag_int(argc, argv, "--media-r", 2)),
+        report.scalars);
   }
 
   bench::write_report(report, argc, argv, "BENCH_tile_reader.json");

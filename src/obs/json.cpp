@@ -117,148 +117,12 @@ void json_escape(std::string_view s, std::string& out) {
   }
 }
 
-// ---- Validator ---------------------------------------------------------------
-
-namespace {
-
-struct Parser {
-  std::string_view text;
-  std::size_t at = 0;
-  int depth = 0;
-
-  static constexpr int kMaxDepth = 256;
-
-  [[nodiscard]] bool done() const noexcept { return at >= text.size(); }
-  [[nodiscard]] char peek() const noexcept { return text[at]; }
-
-  void skip_ws() {
-    while (!done() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                       peek() == '\r')) {
-      ++at;
-    }
-  }
-
-  bool consume(char c) {
-    if (done() || peek() != c) return false;
-    ++at;
-    return true;
-  }
-
-  bool literal(std::string_view word) {
-    if (text.substr(at, word.size()) != word) return false;
-    at += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (!consume('"')) return false;
-    while (!done()) {
-      const char c = text[at++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (done()) return false;
-        const char e = text[at++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (done() || std::isxdigit(static_cast<unsigned char>(
-                              text[at])) == 0) {
-              return false;
-            }
-            ++at;
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool digits() {
-    std::size_t start = at;
-    while (!done() && std::isdigit(static_cast<unsigned char>(peek()))) ++at;
-    return at > start;
-  }
-
-  bool number() {
-    consume('-');
-    if (consume('0')) {
-      // no leading zeros
-    } else if (!digits()) {
-      return false;
-    }
-    if (consume('.') && !digits()) return false;
-    if (!done() && (peek() == 'e' || peek() == 'E')) {
-      ++at;
-      if (!done() && (peek() == '+' || peek() == '-')) ++at;
-      if (!digits()) return false;
-    }
-    return true;
-  }
-
-  bool value() {
-    if (++depth > kMaxDepth) return false;
-    skip_ws();
-    if (done()) return false;
-    bool ok = false;
-    switch (peek()) {
-      case '{': ok = object(); break;
-      case '[': ok = array(); break;
-      case '"': ok = string(); break;
-      case 't': ok = literal("true"); break;
-      case 'f': ok = literal("false"); break;
-      case 'n': ok = literal("null"); break;
-      default: ok = number(); break;
-    }
-    --depth;
-    return ok;
-  }
-
-  bool object() {
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      if (!value()) return false;
-      skip_ws();
-      if (consume('}')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  bool array() {
-    if (!consume('[')) return false;
-    skip_ws();
-    if (consume(']')) return true;
-    while (true) {
-      if (!value()) return false;
-      skip_ws();
-      if (consume(']')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text) {
-  Parser p{text};
-  if (!p.value()) return false;
-  p.skip_ws();
-  return p.done();
-}
-
 // ---- DOM parser -------------------------------------------------------------
 
 namespace {
 
-/// Same grammar and strictness as the validator, but builds JsonValues.
+/// Strict RFC-8259 recursive-descent parser that builds JsonValues;
+/// json_valid is json_parse that keeps only the verdict.
 struct DomParser {
   std::string_view text;
   std::size_t at = 0;
@@ -345,11 +209,24 @@ struct DomParser {
     return false;  // unterminated
   }
 
+  bool digits() {
+    const std::size_t start = at;
+    while (!done() && std::isdigit(static_cast<unsigned char>(peek()))) ++at;
+    return at > start;
+  }
+
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? — a leading zero ends
+  /// the integer part, so "01" leaves "1" behind and fails the caller.
   bool number(double& out) {
     const std::size_t start = at;
-    Parser checker{text, at};
-    if (!checker.number()) return false;
-    at = checker.at;
+    consume('-');
+    if (!consume('0') && !digits()) return false;
+    if (consume('.') && !digits()) return false;
+    if (!done() && (peek() == 'e' || peek() == 'E')) {
+      ++at;
+      if (!done() && (peek() == '+' || peek() == '-')) ++at;
+      if (!digits()) return false;
+    }
     out = std::strtod(std::string(text.substr(start, at - start)).c_str(),
                       nullptr);
     return true;
@@ -456,5 +333,7 @@ std::optional<JsonValue> json_parse(std::string_view text) {
   if (!p.done()) return std::nullopt;
   return root;
 }
+
+bool json_valid(std::string_view text) { return json_parse(text).has_value(); }
 
 }  // namespace dtio::obs

@@ -1,7 +1,7 @@
 // Minimal JSON plumbing for the observability exporters: a stream-style
-// writer that handles commas/escaping, a strict syntax validator used by
-// tests, and a small DOM parser (json_parse) used by dtio_inspect to read
-// run reports and trace files back — all without an external JSON library.
+// writer that handles commas/escaping and a small strict DOM parser
+// (json_parse) used by dtio_inspect to read run reports and trace files
+// back, and by tests (json_valid) — all without an external JSON library.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +55,8 @@ class JsonWriter {
 /// Appends `s` with JSON string escaping (no surrounding quotes).
 void json_escape(std::string_view s, std::string& out);
 
-/// Strict RFC-8259 syntax check of a complete JSON document. Used by the
-/// exporter tests; returns false on any trailing garbage or malformed
-/// construct.
+/// Strict RFC-8259 syntax check of a complete JSON document: true exactly
+/// when json_parse(text) succeeds. Used by the exporter tests.
 [[nodiscard]] bool json_valid(std::string_view text);
 
 /// A parsed JSON document node. Objects keep member insertion order;

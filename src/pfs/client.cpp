@@ -1235,26 +1235,13 @@ sim::Task<Status> Client::fan_out(SimTime client_cpu_cost,
     slots->push_back(std::move(slot));
   }
 
-  // Scatter one server's gathered bytes back into the stream buffer. The
-  // access list is indexed by the slot's HOME server: a failover read may
-  // have been answered by a replica, but the bytes are the home strips'.
-  auto scatter = [&](const RpcSlot& slot) {
-    const ServerAccess& acc = access[static_cast<std::size_t>(slot.home)];
-    std::size_t at = 0;
-    for (std::size_t i = 0; i < acc.pieces.size(); ++i) {
-      const auto len = static_cast<std::size_t>(acc.pieces[i].length);
-      std::memcpy(read_stream + acc.stream_at[i], slot.reply.data->data() + at,
-                  len);
-      at += len;
-    }
-  };
-
   if (config_->client.rpc_timeout <= 0) {
     // Legacy fast path (reliability off): requests to all involved servers
     // stream CONCURRENTLY via detached sends — the tx link serializes at
     // packet granularity, so flows interleave like PVFS's parallel
     // per-server sockets — then replies are awaited in issue order. This
-    // is event-for-event the pre-reliability client.
+    // is event-for-event the pre-reliability client. Every reply is
+    // collected even after one fails, so none is left in the mailbox.
     for (RpcSlot& slot : *slots) {
       slot.request.reply_tag = next_reply_tag();
       Request request = slot.request;
@@ -1270,67 +1257,60 @@ sim::Task<Status> Client::fan_out(SimTime client_cpu_cost,
           slot.server, slot.request.reply_tag);
       Reply reply = msg.take<Reply>();
       if (obs_ != nullptr) obs_->spans.end(slot.rpc_span, sched_->now());
-      if (!reply.ok) {
-        finish_op(prototype.op, op_trace);
-        co_return Status(reply.code == StatusCode::kOk ? StatusCode::kInternal
-                                                       : reply.code,
-                         reply.error);
-      }
-      if (reply.has_payload_crc && reply.data &&
-          crc32(*reply.data) != reply.payload_crc) {
-        finish_op(prototype.op, op_trace);
-        co_return data_loss("read reply payload CRC mismatch from server " +
-                            std::to_string(slot.server));
-      }
-      const ServerAccess& acc = access[static_cast<std::size_t>(slot.server)];
-      if (reply.bytes != acc.total_bytes) {
-        finish_op(prototype.op, op_trace);
-        co_return internal_error("server byte count mismatch");
-      }
-      slot.reply = std::move(reply);
-      if (!is_write && read_stream != nullptr && transfer_data_ &&
-          slot.reply.data) {
-        scatter(slot);
-      }
-    }
-    finish_op(prototype.op, op_trace);
-    co_return Status::ok();
-  }
-
-  // Reliable path: one concurrent RPC driver per server, each with its own
-  // timeout/retry loop (a straggler or outage on one server must not stall
-  // retries to the others); join, then validate and scatter. Under
-  // replication, writes fan out to every replica of their home server and
-  // join at write quorum (laggard copies finish in the background), and
-  // reads get the failover driver.
-  const int repl = effective_replication();
-  sim::WaitGroup wg(*sched_);
-  std::vector<std::shared_ptr<QuorumGroup>> groups;
-  if (is_write && repl > 1) {
-    groups.reserve(slots->size());
-    for (RpcSlot& slot : *slots) {
-      wg.add(1);
-      groups.push_back(quorum_spawn(slot, wg));
-      // The replica drivers own the rpc spans now (a laggard may outlive
-      // this frame); ending span 0 below is a no-op.
       slot.rpc_span = 0;
-    }
-  } else if (!is_write && repl > 1) {
-    for (RpcSlot& slot : *slots) {
-      wg.add(1);
-      sched_->start(failover_fire(&slot, &wg));
+      if (!reply.ok) {
+        slot.status = Status(reply.code == StatusCode::kOk
+                                 ? StatusCode::kInternal
+                                 : reply.code,
+                             reply.error);
+      } else if (reply.has_payload_crc && reply.data &&
+                 crc32(*reply.data) != reply.payload_crc) {
+        slot.status = data_loss("read reply payload CRC mismatch from server " +
+                                std::to_string(slot.server));
+      } else {
+        slot.reply = std::move(reply);
+      }
     }
   } else {
-    for (RpcSlot& slot : *slots) {
-      wg.add(1);
-      sched_->start(rpc_fire(&slot, &wg));
+    // Reliable path: one concurrent RPC driver per server, each with its
+    // own timeout/retry loop (a straggler or outage on one server must not
+    // stall retries to the others); join, then validate and scatter. Under
+    // replication, writes fan out to every replica of their home server
+    // and join at write quorum (laggard copies finish in the background),
+    // and reads get the failover driver.
+    const int repl = effective_replication();
+    sim::WaitGroup wg(*sched_);
+    std::vector<std::shared_ptr<QuorumGroup>> groups;
+    if (is_write && repl > 1) {
+      groups.reserve(slots->size());
+      for (RpcSlot& slot : *slots) {
+        wg.add(1);
+        groups.push_back(quorum_spawn(slot, wg));
+        // The replica drivers own the rpc spans now (a laggard may outlive
+        // this frame); ending span 0 below is a no-op.
+        slot.rpc_span = 0;
+      }
+    } else if (!is_write && repl > 1) {
+      for (RpcSlot& slot : *slots) {
+        wg.add(1);
+        sched_->start(failover_fire(&slot, &wg));
+      }
+    } else {
+      for (RpcSlot& slot : *slots) {
+        wg.add(1);
+        sched_->start(rpc_fire(&slot, &wg));
+      }
+    }
+    co_await wg.wait();
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      quorum_outcome(*groups[i], (*slots)[i]);
     }
   }
-  co_await wg.wait();
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    quorum_outcome(*groups[i], (*slots)[i]);
-  }
 
+  // Validate and scatter; the first failed slot in issue order decides the
+  // op's status. The access list is indexed by the slot's HOME server: a
+  // failover read may have been answered by a replica, but the bytes are
+  // the home strips'.
   Status result = Status::ok();
   for (RpcSlot& slot : *slots) {
     if (obs_ != nullptr) obs_->spans.end(slot.rpc_span, sched_->now());
@@ -1343,9 +1323,16 @@ sim::Task<Status> Client::fan_out(SimTime client_cpu_cost,
       if (result.is_ok()) result = internal_error("server byte count mismatch");
       continue;
     }
-    if (!is_write && read_stream != nullptr && transfer_data_ &&
-        slot.reply.data) {
-      scatter(slot);
+    if (is_write || read_stream == nullptr || !transfer_data_ ||
+        !slot.reply.data) {
+      continue;
+    }
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < acc.pieces.size(); ++i) {
+      const auto len = static_cast<std::size_t>(acc.pieces[i].length);
+      std::memcpy(read_stream + acc.stream_at[i], slot.reply.data->data() + at,
+                  len);
+      at += len;
     }
   }
   finish_op(prototype.op, op_trace);

@@ -120,21 +120,25 @@ class Mailbox {
     return RecvAwaiter{this, src, tag, {}};
   }
 
+  /// Timed receive matching `tag` or, when `has_alt_tag`, also `tag_alt`.
   struct TimedRecvAwaiter {
     Mailbox* mailbox;
     int src_filter;
-    std::uint64_t tag_filter;
+    std::uint64_t tag;
+    std::uint64_t tag_alt;
+    bool has_alt_tag;
     SimTime timeout;
     Message message;
     bool expired = false;
 
     bool await_ready() {
-      return mailbox->try_take(src_filter, tag_filter, message);
+      return mailbox->try_take(src_filter, tag, message) ||
+             (has_alt_tag && mailbox->try_take(src_filter, tag_alt, message));
     }
     void await_suspend(std::coroutine_handle<> h) {
       const std::uint64_t id = ++mailbox->next_waiter_id_;
-      mailbox->waiters_.push_back(
-          Waiter{src_filter, tag_filter, &message, h, id, &expired});
+      mailbox->waiters_.push_back(Waiter{src_filter, tag, &message, h, id,
+                                         &expired, tag_alt, has_alt_tag});
       Mailbox* mb = mailbox;
       mb->sched_->schedule_call(mb->sched_->now() + timeout,
                                 [mb, id] { mb->expire_waiter(id); });
@@ -154,45 +158,18 @@ class Mailbox {
   /// scheduled later for the same instant.
   [[nodiscard]] TimedRecvAwaiter recv_for(int src, std::uint64_t tag,
                                           SimTime timeout) {
-    return TimedRecvAwaiter{this, src, tag, timeout, {}, false};
+    return TimedRecvAwaiter{this, src, tag, 0, false, timeout, {}, false};
   }
-
-  struct TimedRecv2Awaiter {
-    Mailbox* mailbox;
-    int src_filter;
-    std::uint64_t tag_a;
-    std::uint64_t tag_b;
-    SimTime timeout;
-    Message message;
-    bool expired = false;
-
-    bool await_ready() {
-      return mailbox->try_take(src_filter, tag_a, message) ||
-             mailbox->try_take(src_filter, tag_b, message);
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      const std::uint64_t id = ++mailbox->next_waiter_id_;
-      mailbox->waiters_.push_back(
-          Waiter{src_filter, tag_a, &message, h, id, &expired, tag_b, true});
-      Mailbox* mb = mailbox;
-      mb->sched_->schedule_call(mb->sched_->now() + timeout,
-                                [mb, id] { mb->expire_waiter(id); });
-    }
-    std::optional<Message> await_resume() noexcept {
-      if (expired) return std::nullopt;
-      return std::move(message);
-    }
-  };
 
   /// recv_for() matching EITHER of two tags from `src` — first delivery
   /// wins; inspect the returned Message's `tag` to see which. Built for
   /// hedged requests: the primary and the hedge carry distinct reply tags
   /// and one receive awaits both, so the losing reply parks unclaimed
   /// instead of being mistaken for anything.
-  [[nodiscard]] TimedRecv2Awaiter recv2_for(int src, std::uint64_t tag_a,
-                                            std::uint64_t tag_b,
-                                            SimTime timeout) {
-    return TimedRecv2Awaiter{this, src, tag_a, tag_b, timeout, {}, false};
+  [[nodiscard]] TimedRecvAwaiter recv2_for(int src, std::uint64_t tag_a,
+                                           std::uint64_t tag_b,
+                                           SimTime timeout) {
+    return TimedRecvAwaiter{this, src, tag_a, tag_b, true, timeout, {}, false};
   }
 
   /// Hand a fully-arrived message to this mailbox. If a parked receiver

@@ -442,6 +442,22 @@ TEST(JsonParser, ParsesDocumentsAndRejectsMalformed) {
   EXPECT_FALSE(json_parse("{\"a\":}").has_value());
 }
 
+TEST(JsonParser, ValidatorAndParserRejectTheSameMalformedInputs) {
+  const std::string deep_ok = std::string(256, '[') + std::string(256, ']');
+  const std::string too_deep = std::string(257, '[') + std::string(257, ']');
+  EXPECT_TRUE(json_valid(deep_ok));
+  EXPECT_TRUE(json_parse(deep_ok).has_value());
+  for (const std::string& bad : {std::string("01"), std::string("[-01]"),
+                                std::string("{\"a\":00}"),
+                                std::string("[\"bad \\x escape\"]"),
+                                std::string("[\"\\u12g4\"]"),
+                                std::string("[\"raw \x01 control\"]"),
+                                std::string("{\"tab\there\":1}"), too_deep}) {
+    EXPECT_FALSE(json_valid(bad)) << bad;
+    EXPECT_FALSE(json_parse(bad).has_value()) << bad;
+  }
+}
+
 TEST(JsonParser, RoundTripsWriterOutput) {
   std::string text;
   JsonWriter w(text);

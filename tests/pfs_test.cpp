@@ -391,6 +391,29 @@ TEST(EndToEnd, DatatypeStreamWindowIsRespected) {
   EXPECT_TRUE(finished);
 }
 
+TEST(EndToEnd, FailedDatatypeReadDrainsEverySiblingReply) {
+  // A stream window 8 bytes past count x size is rejected by every server;
+  // the op must surface the typed error and still collect all replies.
+  Cluster cluster(small_config());
+  auto client = cluster.make_client(0);
+  auto filetype = dl::make_vector(10, 8, 64, dl::make_leaf(1));  // 80 bytes
+  constexpr std::int64_t kCount = 40;
+  const std::int64_t window = kCount * filetype->size + 8;
+  Status status;
+  cluster.scheduler().spawn(
+      [](Client& c, dl::DataloopPtr* type, std::int64_t len,
+         Status& out) -> Task<void> {
+        MetaResult f = co_await c.create("/bad-window");
+        EXPECT_TRUE(f.status.is_ok());
+        std::vector<std::uint8_t> buf(static_cast<std::size_t>(len));
+        out = co_await c.read_datatype(f.handle, *type, 0, kCount, 0, len,
+                                       buf.data());
+      }(*client, &filetype, window, status));
+  cluster.run();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+  EXPECT_EQ(cluster.network().mailbox(client->node_id()).queued(), 0u);
+}
+
 TEST(EndToEnd, CrossInterfaceOracle) {
   // Write with the datatype interface, read back with list and contig:
   // all three views of the file must agree byte-for-byte.
