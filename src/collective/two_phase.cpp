@@ -74,7 +74,7 @@ sim::Task<Plan> make_plan(io::Context& ctx, Communicator& comm, int rank,
     plan.prefix.push_back(at);
     at += r.length;
   }
-  co_await ctx.sched.delay(ctx.config.client.flatten_cost_per_region *
+  co_await ctx.sched.delay(net::kFlattenCostPerRegion *
                            static_cast<std::int64_t>(plan.regions.size()));
 
   constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
@@ -103,9 +103,8 @@ sim::Task<Plan> make_plan(io::Context& ctx, Communicator& comm, int rank,
   co_return plan;
 }
 
-std::uint64_t exchange_wire_bytes(const net::ClusterConfig& config,
-                                  const Clipped& pieces, bool with_data) {
-  return pieces.file.size() * config.list_io_bytes_per_region +
+std::uint64_t exchange_wire_bytes(const Clipped& pieces, bool with_data) {
+  return pieces.file.size() * net::kListIoBytesPerRegion +
          (with_data ? static_cast<std::uint64_t>(pieces.bytes) : 0);
 }
 
@@ -153,7 +152,7 @@ sim::Task<Status> two_phase_write(io::Context& ctx, Communicator& comm,
   }
   if (!mem_contig) {
     co_await io::detail::charge_mem_staging(
-        ctx, memtype, count, total, ctx.config.client.flatten_cost_per_region);
+        ctx, memtype, count, total, net::kFlattenCostPerRegion);
   }
 
   const auto cb = static_cast<std::int64_t>(ctx.config.cb_buffer_size);
@@ -188,7 +187,7 @@ sim::Task<Status> two_phase_write(io::Context& ctx, Communicator& comm,
       co_await comm.send_exchange(
           rank, a, block + static_cast<std::uint64_t>(r),
           Box<ExchangePayload>(std::move(payload)),
-          exchange_wire_bytes(ctx.config, pieces, /*with_data=*/true));
+          exchange_wire_bytes(pieces, /*with_data=*/true));
     }
 
     // ---- Phase 2: as aggregator, merge contributions and write.
@@ -245,7 +244,7 @@ sim::Task<Status> two_phase_write(io::Context& ctx, Communicator& comm,
       coalesce_adjacent(regions);  // stream order is preserved by merging
       co_await ctx.sched.delay(
           transfer_time(static_cast<std::uint64_t>(received_bytes),
-                        ctx.config.client.memcpy_bandwidth_bytes_per_s));
+                        net::kMemcpyBandwidthBytesPerS));
       Status status;
       if (mode == net::CbWriteMode::kList) {
         status = co_await ctx.client.write_list(
@@ -291,7 +290,7 @@ sim::Task<Status> two_phase_write(io::Context& ctx, Communicator& comm,
     }
     co_await ctx.sched.delay(
         transfer_time(static_cast<std::uint64_t>(received_bytes),
-                      ctx.config.client.memcpy_bandwidth_bytes_per_s));
+                      net::kMemcpyBandwidthBytesPerS));
     Status status = co_await ctx.client.write_contig(
         handle, lo, transfer ? cb_buf.data() : nullptr, hi - lo);
     io::detail::end_method_span(ctx, round_span);
@@ -354,7 +353,7 @@ sim::Task<Status> two_phase_read(io::Context& ctx, Communicator& comm,
       payload.regions = pieces.file;
       co_await comm.send_exchange(
           rank, a, req_tag, Box<ExchangePayload>(std::move(payload)),
-          exchange_wire_bytes(ctx.config, pieces, /*with_data=*/false));
+          exchange_wire_bytes(pieces, /*with_data=*/false));
       my_requests[static_cast<std::size_t>(a)] = std::move(pieces);
     }
 
@@ -407,14 +406,13 @@ sim::Task<Status> two_phase_read(io::Context& ctx, Communicator& comm,
       Clipped sized;
       sized.file = response.regions;
       sized.bytes = bytes;
-      co_await comm.send_exchange(rank, src, resp_tag,
-                                  Box<ExchangePayload>(std::move(response)),
-                                  exchange_wire_bytes(ctx.config, sized,
-                                                      /*with_data=*/true));
+      co_await comm.send_exchange(
+          rank, src, resp_tag, Box<ExchangePayload>(std::move(response)),
+          exchange_wire_bytes(sized, /*with_data=*/true));
     }
     co_await ctx.sched.delay(
         transfer_time(static_cast<std::uint64_t>(served_bytes),
-                      ctx.config.client.memcpy_bandwidth_bytes_per_s));
+                      net::kMemcpyBandwidthBytesPerS));
 
     // ---- Phase 3: place the responses into my stream buffer.
     for (int a = 0; a < nag; ++a) {
@@ -438,7 +436,7 @@ sim::Task<Status> two_phase_read(io::Context& ctx, Communicator& comm,
   }
   if (!mem_contig) {
     co_await io::detail::charge_mem_staging(
-        ctx, memtype, count, total, ctx.config.client.flatten_cost_per_region);
+        ctx, memtype, count, total, net::kFlattenCostPerRegion);
   }
   io::detail::end_method_span(ctx, tp_span);
   co_return Status::ok();

@@ -79,7 +79,7 @@ sim::Task<Status> sieve_read(Context& ctx, std::uint64_t handle,
 
   const SievePlan plan = plan_access(view, offset, total);
   co_await ctx.sched.delay(
-      ctx.config.client.flatten_cost_per_region *
+      net::kFlattenCostPerRegion *
       static_cast<std::int64_t>(plan.file_regions.size()));
 
   const bool transfer = ctx.client.transfer_data() && buf != nullptr;
@@ -123,7 +123,7 @@ sim::Task<Status> sieve_read(Context& ctx, std::uint64_t handle,
         stream, stream_pos, region_idx, region_done, /*to_stream=*/true);
     co_await ctx.sched.delay(
         transfer_time(static_cast<std::uint64_t>(moved),
-                      ctx.config.client.memcpy_bandwidth_bytes_per_s));
+                      net::kMemcpyBandwidthBytesPerS));
   }
 
   if (transfer && !mem_contig) {
@@ -131,7 +131,7 @@ sim::Task<Status> sieve_read(Context& ctx, std::uint64_t handle,
   }
   if (!mem_contig) {
     co_await detail::charge_mem_staging(
-        ctx, memtype, count, total, ctx.config.client.flatten_cost_per_region);
+        ctx, memtype, count, total, net::kFlattenCostPerRegion);
   }
   detail::count_method_units(ctx, "io_sieve_windows_total", windows);
   detail::end_method_span(ctx, span);
@@ -154,7 +154,7 @@ sim::Task<Status> sieve_write(Context& ctx, std::uint64_t handle,
 
   const SievePlan plan = plan_access(view, offset, total);
   co_await ctx.sched.delay(
-      ctx.config.client.flatten_cost_per_region *
+      net::kFlattenCostPerRegion *
       static_cast<std::int64_t>(plan.file_regions.size()));
 
   const bool transfer = ctx.client.transfer_data() && buf != nullptr;
@@ -172,7 +172,7 @@ sim::Task<Status> sieve_write(Context& ctx, std::uint64_t handle,
   }
   if (!mem_contig) {
     co_await detail::charge_mem_staging(
-        ctx, memtype, count, total, ctx.config.client.flatten_cost_per_region);
+        ctx, memtype, count, total, net::kFlattenCostPerRegion);
   }
 
   const auto sieve = static_cast<std::int64_t>(ctx.config.sieve_buffer_size);
@@ -208,7 +208,7 @@ sim::Task<Status> sieve_write(Context& ctx, std::uint64_t handle,
         /*to_stream=*/false);
     co_await ctx.sched.delay(
         transfer_time(static_cast<std::uint64_t>(moved),
-                      ctx.config.client.memcpy_bandwidth_bytes_per_s));
+                      net::kMemcpyBandwidthBytesPerS));
 
     status = co_await ctx.client.write_contig(
         handle, wstart, transfer ? window_buf.data() : nullptr, wlen);

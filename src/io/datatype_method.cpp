@@ -11,6 +11,11 @@ namespace dtio::io {
 
 namespace {
 
+/// Cost to build a dataloop from an MPI datatype (per datatype node,
+/// charged on every MPI-IO call; the paper notes this makes datatype I/O
+/// locally slightly more expensive than list I/O, §3.2).
+constexpr SimTime kDataloopBuildCostPerNode = 3 * kMicrosecond;
+
 sim::Task<Status> datatype_rw(Context& ctx, bool is_write,
                               std::uint64_t handle, const FileView& view,
                               std::int64_t offset, const void* wbuf,
@@ -27,7 +32,7 @@ sim::Task<Status> datatype_rw(Context& ctx, bool is_write,
   // (paper §3.2: "slightly higher overhead in the local portion").
   const std::int64_t build_nodes = memtype.dataloop()->node_count() +
                                    view.filetype.dataloop()->node_count();
-  co_await ctx.sched.delay(ctx.config.client.dataloop_build_cost_per_node *
+  co_await ctx.sched.delay(kDataloopBuildCostPerNode *
                            build_nodes);
 
   const bool transfer = ctx.client.transfer_data();

@@ -51,7 +51,7 @@ sim::Task<Status> list_rw(Context& ctx, bool is_write, std::uint64_t handle,
 
     // Flattening both types into this batch of joint pieces is the
     // client-side cost list I/O pays on every request.
-    co_await ctx.sched.delay(ctx.config.client.flatten_cost_per_region *
+    co_await ctx.sched.delay(net::kFlattenCostPerRegion *
                              static_cast<std::int64_t>(file_batch.size()));
 
     Status status;
@@ -71,7 +71,7 @@ sim::Task<Status> list_rw(Context& ctx, bool is_write, std::uint64_t handle,
       }
       co_await ctx.sched.delay(
           transfer_time(static_cast<std::uint64_t>(batch_bytes),
-                        ctx.config.client.memcpy_bandwidth_bytes_per_s));
+                        net::kMemcpyBandwidthBytesPerS));
       status = co_await ctx.client.write_list(handle, file_batch, stream);
     } else {
       std::uint8_t* stream = nullptr;
@@ -91,7 +91,7 @@ sim::Task<Status> list_rw(Context& ctx, bool is_write, std::uint64_t handle,
       }
       co_await ctx.sched.delay(
           transfer_time(static_cast<std::uint64_t>(batch_bytes),
-                        ctx.config.client.memcpy_bandwidth_bytes_per_s));
+                        net::kMemcpyBandwidthBytesPerS));
     }
     if (!status.is_ok()) {
       detail::count_method_units(ctx, "io_list_batches_total", batches);

@@ -15,7 +15,7 @@ sim::Task<std::int64_t> charge_mem_staging(Context& ctx,
   co_await ctx.sched.delay(
       per_region_cost * regions +
       transfer_time(static_cast<std::uint64_t>(bytes),
-                    ctx.config.client.memcpy_bandwidth_bytes_per_s));
+                    net::kMemcpyBandwidthBytesPerS));
   co_return regions;
 }
 

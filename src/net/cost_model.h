@@ -4,8 +4,11 @@
 // §4.1): 100 Mbit/s full-duplex fast ethernet per node, one SCSI disk per
 // I/O server, dual-PIII nodes. The paper's results are driven by ratios —
 // request count x latency, bytes of I/O description on the wire, per-region
-// processing cost, doubled data movement in two-phase — all of which appear
-// here as explicit parameters, so sensitivity studies are one knob away.
+// processing cost, doubled data movement in two-phase. The costs some
+// bench, test or ablation varies are config fields below; the rest are
+// named constants — here when several modules read them, otherwise in the
+// one .cpp that does — so changing one of those means editing the source.
+// docs/cost-model.md lists both.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +17,17 @@
 #include "common/units.h"
 
 namespace dtio::net {
+
+/// CPU cost per offset-length pair produced while flattening an MPI
+/// datatype into a list (list I/O, POSIX I/O, data sieving, two-phase).
+inline constexpr dtio::SimTime kFlattenCostPerRegion = 1000;  // ns
+
+/// memcpy bandwidth for buffer packing/extraction (data sieving extract,
+/// two-phase staging, datatype pack/unpack, client request prep).
+inline constexpr double kMemcpyBandwidthBytesPerS = 400.0 * 1024 * 1024;
+
+/// Bytes of request payload per offset-length pair shipped by list I/O.
+inline constexpr std::uint64_t kListIoBytesPerRegion = 16;
 
 struct NetConfig {
   /// Payload bandwidth per link direction. 100 Mbit/s ethernet delivers
@@ -43,41 +57,21 @@ struct NetConfig {
 };
 
 struct ServerConfig {
-  /// Effective storage bandwidth (buffered SCSI disk behind the VFS).
-  double disk_bandwidth_bytes_per_s = 30.0 * 1024 * 1024;
-
-  /// Per-storage-access setup (request dispatch into the storage layer).
-  dtio::SimTime disk_access_overhead = 400 * dtio::kMicrosecond;
-
   /// Per-request CPU: decode, job construction, response setup. PVFS1
   /// handled each request on a fresh TCP interaction through a
   /// single-threaded iod; small-request handling cost ~1 ms.
   dtio::SimTime request_overhead = 700 * dtio::kMicrosecond;
 
-  /// CPU cost per offset-length access region handled by the server
-  /// (building the PVFS job/access structures and walking them). This is
-  /// the term behind the paper's §4.3 observation that server-side list
-  /// processing depresses read performance at scale.
-  dtio::SimTime per_region_cost = 4 * dtio::kMicrosecond;
-
-  /// Per-region cost on the WRITE path. Writes scatter an already-ordered
-  /// incoming stream and ack once data is queued behind the buffer cache,
-  /// so the per-region work the client waits on is much smaller — the
-  /// asymmetry behind §4.3's "reads dip, writes don't (TCP buffering)".
-  dtio::SimTime per_region_cost_write = 300;  // ns
-
   /// CPU cost per offset-length region when the region is produced by the
   /// dataloop engine on the server (datatype I/O). The paper's PROTOTYPE
   /// still builds the traditional PVFS job/access lists on the server
-  /// (§3.1/§3.2), so this matches per_region_cost by default — which is
+  /// (§3.1/§3.2), so this is of the order of the list path's per-region
+  /// cost (server.cpp's kPerRegionCost) by default — which is
   /// exactly what produces the read-side performance dip at high client
   /// counts in §4.3. A full-featured implementation operating directly on
   /// the dataloop would push this toward zero (see the ablation bench).
   dtio::SimTime per_dataloop_region_cost = 2 * dtio::kMicrosecond;  // reads
   dtio::SimTime per_dataloop_region_cost_write = 300;  // ns
-
-  /// Cost to decode a shipped dataloop (per dataloop node).
-  dtio::SimTime dataloop_decode_cost_per_node = 2 * dtio::kMicrosecond;
 
   /// Server-side datatype cache (the paper's S5 future-work item, after
   /// the RMA datatype caching of Traff et al.): remember decoded dataloops
@@ -94,10 +88,6 @@ struct ServerConfig {
   /// O(total regions) into O(own regions + subtrees probed). Off = legacy
   /// full-expansion behaviour, kept for ablation.
   bool pruned_expansion = true;
-
-  /// CPU cost per pruned subtree: one span/stripe intersection probe
-  /// (a handful of integer ops) charged for each subtree skipped.
-  dtio::SimTime subtree_probe_cost = 50;  // ns
 
   /// Age bound on replay-window entries (simulated time; 0 = count-only
   /// eviction, the default — scenarios opt in like the other robustness
@@ -118,10 +108,6 @@ struct ServerConfig {
   /// Companion byte bound on the queued backlog (wire bytes of queued
   /// requests). 0 = no byte bound. Either bound tripping sheds.
   std::uint64_t max_queued_bytes = 0;
-
-  /// CPU charged to fast-reject one shed request (header decode + reply
-  /// setup — far below request_overhead, which is the point of shedding).
-  dtio::SimTime shed_cost = 50 * dtio::kMicrosecond;
 
   // ---- Server buffer cache (src/cache/; all default-off — both knobs
   // below must be nonzero to enable, and the disabled event sequence is
@@ -165,10 +151,6 @@ struct ServerConfig {
 };
 
 struct ClientConfig {
-  /// CPU cost per offset-length pair produced while flattening an MPI
-  /// datatype into a list (list I/O, POSIX I/O, data sieving).
-  dtio::SimTime flatten_cost_per_region = 1000;  // ns
-
   /// CPU cost per region emitted by local dataloop processing (memory-side
   /// packing/unpacking in datatype I/O). The prototype converts the MPI
   /// type and builds job/access structures on every call (§3.1-3.2), so
@@ -176,18 +158,6 @@ struct ClientConfig {
   /// datatype I/O "underperform at small numbers of clients" on FLASH's
   /// million-region memory type (§4.4).
   dtio::SimTime dataloop_cost_per_region = 2500;  // ns
-
-  /// Cost to build a dataloop from an MPI datatype (per datatype node,
-  /// charged on every MPI-IO call; the paper notes this makes datatype I/O
-  /// locally slightly more expensive than list I/O, §3.2).
-  dtio::SimTime dataloop_build_cost_per_node = 3 * dtio::kMicrosecond;
-
-  /// memcpy bandwidth for buffer packing/extraction (data sieving extract,
-  /// two-phase staging, datatype pack/unpack).
-  double memcpy_bandwidth_bytes_per_s = 400.0 * 1024 * 1024;
-
-  /// Fixed CPU cost to issue one file-system operation.
-  dtio::SimTime issue_overhead = 100 * dtio::kMicrosecond;
 
   /// Client write-behind: per-server staging-buffer high watermark in
   /// bytes. 0 (default) = off — every write is a synchronous RPC round
@@ -201,11 +171,11 @@ struct ClientConfig {
   /// surface at the flush that carries them.
   std::int64_t write_behind_bytes = 0;
 
-  /// Per-request reply deadline in simulated time. 0 (the default)
-  /// disables the reliability layer entirely: requests wait forever,
-  /// exactly the pre-fault-injection behaviour (and the behaviour PVFS
-  /// offers — a lost reply hangs the client). Set nonzero to arm
-  /// timeout + retry; it must comfortably exceed the worst-case service
+  /// Per-request reply deadline in simulated time. 0 (the default) is
+  /// the untimed mode: one attempt per request, waiting forever for its
+  /// reply (the behaviour PVFS offers — a lost reply hangs the client),
+  /// with an op's per-server requests posted at once and their replies
+  /// collected in issue order. Set nonzero to arm timeout + retry; it must comfortably exceed the worst-case service
   /// time or false timeouts will inflate traffic (retries stay correct
   /// either way, via fresh reply tags and the server replay window).
   dtio::SimTime rpc_timeout = 0;
@@ -220,8 +190,9 @@ struct ClientConfig {
   double rpc_backoff_jitter = 0.25;
 
   // ---- Overload protection (all default-off; see docs/fault-model.md).
-  // The three mechanisms below act per server ("lane") inside the
-  // reliable RPC path (rpc_timeout > 0) and are individually gated.
+  // The three mechanisms below act per server ("lane") inside the RPC
+  // attempt loop and are individually gated. They react to timeouts and
+  // sheds, so they are meant for the timed mode (rpc_timeout > 0).
 
   /// AIMD outstanding-request window cap per server. 0 = no flow control.
   /// When set, at most floor(window) RPCs to one server are in flight per
@@ -349,9 +320,6 @@ struct ClusterConfig {
   /// Max offset-length pairs per list-I/O request (paper §2.4: bounded
   /// request size reduces ops "by a factor of 64").
   std::uint64_t list_io_max_regions = 64;
-
-  /// Bytes of request payload per offset-length pair shipped by list I/O.
-  std::uint64_t list_io_bytes_per_region = 16;
 
   /// Aggregator write-back strategy for holey rounds.
   CbWriteMode cb_write_noncontig = CbWriteMode::kRmw;

@@ -32,6 +32,9 @@ SimTime retry_backoff(SimTime base, int retry) {
 /// (diagnostics; the breaker trips on the consecutive-failure count).
 constexpr double kHealthEwmaAlpha = 0.2;
 
+/// Fixed CPU cost to issue one file-system operation.
+constexpr SimTime kIssueOverhead = 100 * kMicrosecond;
+
 }  // namespace
 
 Client::Client(sim::Scheduler& sched, net::Network& network,
@@ -235,9 +238,8 @@ sim::Task<MetaResult> Client::meta_op(OpKind op, Box<std::string> path,
     // re-acknowledged, not answered "already exists".
     slot.request.op_seq = ++op_seq_;
   }
-  slot.wire_bytes = request_descriptor_bytes(slot.request,
-                                             config_->list_io_bytes_per_region);
-  co_await sched_->delay(config_->client.issue_overhead);
+  slot.wire_bytes = request_descriptor_bytes(slot.request);
+  co_await sched_->delay(kIssueOverhead);
   co_await rpc_attempts(&slot);
 
   MetaResult result;
@@ -388,17 +390,31 @@ void Client::breaker_set(Lane& l, int server, Lane::Breaker state) {
   }
 }
 
-// ---- RPC reliability core ---------------------------------------------------
+// ---- RPC attempt loop -------------------------------------------------------
+
+sim::Message Client::request_message(const RpcSlot& slot, std::uint64_t tag,
+                                     obs::SpanId attempt_span) const {
+  Request request = slot.request;
+  request.reply_tag = tag;
+  if (attempt_span != 0) request.parent_span = attempt_span;
+  sim::Message out(node_, kTagRequest, slot.wire_bytes, std::move(request));
+  out.trace = slot.request.trace_id;
+  const obs::SpanId parent =
+      slot.rpc_span != 0 ? slot.rpc_span : slot.request.parent_span;
+  out.span = attempt_span != 0 ? attempt_span : parent;
+  out.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
+  return out;
+}
 
 sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   const net::ClientConfig& cc = config_->client;
-  const bool reliable = cc.rpc_timeout > 0;
+  const bool timed = cc.rpc_timeout > 0;
   const int max_attempts =
-      !reliable ? 1
-                : (slot->max_attempts_override > 0
-                       ? slot->max_attempts_override
-                       : std::max(1, cc.rpc_max_attempts));
-  Status last = internal_error("rpc: no attempt ran");
+      !timed ? 1
+             : (slot->max_attempts_override > 0
+                    ? slot->max_attempts_override
+                    : std::max(1, cc.rpc_max_attempts));
+  Status last;
   bool all_timeouts = true;
   // Set by a kOverloaded reply: the server's backlog-drain estimate, which
   // replaces a smaller blind backoff before the next attempt.
@@ -415,7 +431,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   // Circuit breaker: when this server's lane is open, fail fast with
   // kUnavailable instead of burning a timeout — the caller's error path
   // runs in microseconds rather than rpc_timeout.
-  if (reliable && !breaker_try_pass(ln, slot->server)) {
+  if (!breaker_try_pass(ln, slot->server)) {
     ++breaker_fast_fails_;
     slot->status = unavailable("circuit breaker open for server " +
                                std::to_string(slot->server));
@@ -425,7 +441,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   // the whole RPC (all attempts); LaneReleaser's destructor releases it on
   // every exit path.
   LaneReleaser window_slot;
-  if (reliable && cc.flow_window > 0) {
+  if (cc.flow_window > 0) {
     obs::SpanId queue_span = 0;
     if (obs_ != nullptr) {
       queue_span = obs_->spans.begin(
@@ -471,34 +487,29 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
 
     // Fresh reply tag per attempt: a delayed duplicate reply to an earlier
     // attempt can never satisfy this one (reusing tags across attempts is
-    // the classic stale-reply hazard).
-    Request request = slot->request;
-    request.reply_tag = next_reply_tag();
-    const std::uint64_t tag = request.reply_tag;
+    // the classic stale-reply hazard). An untimed fan-out already sent
+    // attempt 1 and hands over its tag.
+    std::uint64_t tag = slot->issued_tag;
+    slot->issued_tag = 0;
+    const bool send = tag == 0;
+    if (send) tag = next_reply_tag();
     const SimTime attempt_start = sched_->now();
     obs::SpanId attempt_span = 0;
-    if (obs_ != nullptr && reliable) {
+    if (obs_ != nullptr && timed) {
       attempt_span = obs_->spans.begin(
           "rpc_attempt", node_, attempt_start,
           slot->rpc_span != 0 ? slot->rpc_span : slot->request.parent_span,
-          request.trace_id);
-      request.parent_span = attempt_span;
+          slot->request.trace_id);
     }
-    ++slot->attempts;
-
-    sim::Message out(node_, kTagRequest, slot->wire_bytes, std::move(request));
-    out.trace = slot->request.trace_id;
-    out.span = attempt_span != 0
-                   ? attempt_span
-                   : (slot->rpc_span != 0 ? slot->rpc_span
-                                          : slot->request.parent_span);
-    out.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
-    co_await network_->send(node_, slot->server, std::move(out));
+    if (send) {
+      co_await network_->send(node_, slot->server,
+                              request_message(*slot, tag, attempt_span));
+    }
 
     sim::Message msg;
     bool hedge_sent = false;
     bool hedge_won = false;
-    if (!reliable) {
+    if (!timed) {
       msg = co_await network_->mailbox(node_).recv(slot->server, tag);
     } else {
       std::optional<sim::Message> maybe;
@@ -536,22 +547,13 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
           maybe = co_await network_->mailbox(node_).recv_for(slot->server, tag,
                                                              cc.rpc_timeout);
         } else if (!maybe.has_value()) {
-          Request hedge = slot->request;
-          hedge.reply_tag = next_reply_tag();
-          const std::uint64_t hedge_tag = hedge.reply_tag;
-          if (attempt_span != 0) hedge.parent_span = attempt_span;
+          const std::uint64_t hedge_tag = next_reply_tag();
           hedge_sent = true;
           ++hedges_issued_;
           ++stats_.requests_sent;
-          sim::Message out2(node_, kTagRequest, slot->wire_bytes,
-                            std::move(hedge));
-          out2.trace = slot->request.trace_id;
-          out2.span = attempt_span != 0
-                          ? attempt_span
-                          : (slot->rpc_span != 0 ? slot->rpc_span
-                                                 : slot->request.parent_span);
-          out2.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
-          co_await network_->send(node_, slot->server, std::move(out2));
+          co_await network_->send(
+              node_, slot->server,
+              request_message(*slot, hedge_tag, attempt_span));
           maybe = co_await network_->mailbox(node_).recv2_for(
               slot->server, tag, hedge_tag, cc.rpc_timeout);
           if (maybe.has_value() && maybe->tag == hedge_tag) hedge_won = true;
@@ -579,25 +581,23 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       if (hedge_won) ++hedges_won_;
     }
     Reply reply = msg.take<Reply>();
-    if (obs_ != nullptr && reliable) {
+    if (obs_ != nullptr && timed) {
       attempt_latency_->record(sched_->now() - attempt_start);
       obs_->spans.end(attempt_span, sched_->now());
     }
-    if (reliable) {
-      // Any reply — OK, shed, or application-level error — proves the
-      // server alive: settle the breaker now, on arrival. Otherwise a
-      // half-open probe answered with a definitive error would co_return
-      // with probe_in_flight stuck set (every later RPC fails fast
-      // forever), and an error reply would leave a stale near-threshold
-      // consecutive_failures count on a responsive server.
-      breaker_on_success(ln, slot->server);
-    }
+    // Any reply — OK, shed, or application-level error — proves the server
+    // alive: settle the breaker now, on arrival. Otherwise a half-open
+    // probe answered with a definitive error would co_return with
+    // probe_in_flight stuck set (every later RPC fails fast forever), and
+    // an error reply would leave a stale near-threshold
+    // consecutive_failures count on a responsive server.
+    breaker_on_success(ln, slot->server);
     // Read-data integrity: corrupted reply payloads must not reach the
     // caller's buffer; treat like a lost reply and retry.
     if (reply.has_payload_crc && reply.data &&
         crc32(*reply.data) != reply.payload_crc) {
       all_timeouts = false;
-      if (reliable) health_note(ln, 0, /*failed=*/true);
+      health_note(ln, 0, /*failed=*/true);
       // The observed CRC is embedded so two distinct corruptions of the
       // same reply never look like the identical, deterministic failure
       // the data-loss fast-fail below keys on.
@@ -611,7 +611,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       const StatusCode code =
           reply.code == StatusCode::kOk ? StatusCode::kInternal : reply.code;
       last = Status(code, reply.error);
-      if (code == StatusCode::kOverloaded && reliable) {
+      if (code == StatusCode::kOverloaded) {
         // The server shed this request at admission. Retryable like
         // kDataLoss, with two twists: the window halves (the shed IS the
         // backpressure signal), and the server's retry_after hint floors
@@ -632,7 +632,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       // other error class is definitive. A partially-applied batch sheds
       // its acknowledged sub-ops first so only the rejected remainder is
       // resent.
-      if (code == StatusCode::kDataLoss && reliable) {
+      if (code == StatusCode::kDataLoss) {
         health_note(ln, 0, /*failed=*/true);
         // Persistent-loss fast-fail: N consecutive byte-identical
         // kDataLoss rejections of a data read mean the server keeps
@@ -661,11 +661,9 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       slot->reply = std::move(reply);
       co_return;
     }
-    if (reliable) {
-      health_note(ln, sched_->now() - attempt_start, /*failed=*/false,
-                  hedge_sent);
-      note_window_increase(ln);
-    }
+    health_note(ln, sched_->now() - attempt_start, /*failed=*/false,
+                hedge_sent);
+    note_window_increase(ln);
     slot->status = Status::ok();
     slot->reply = std::move(reply);
     co_return;
@@ -684,11 +682,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     }
     slot->status = last;
   }
-}
-
-sim::Fire Client::rpc_fire(RpcSlot* slot, sim::WaitGroup* wg) {
-  co_await rpc_attempts(slot);
-  wg->done();
 }
 
 // ---- Replication: read failover and quorum writes ---------------------------
@@ -857,50 +850,34 @@ sim::Task<MetaResult> Client::stat_handle(std::uint64_t handle) {
     slot.request.payload = std::move(payload);
     slot.request.trace_id = t.trace;
     slot.request.parent_span = t.span;
-    slot.wire_bytes = request_descriptor_bytes(
-        slot.request, config_->list_io_bytes_per_region);
+    slot.wire_bytes = request_descriptor_bytes(slot.request);
   }
   if (config_->client.rpc_timeout <= 0) {
-    // Legacy shape (reliability off): sends awaited inline in server
-    // order, then replies collected in the same order.
+    // Untimed: sends awaited inline in server order, then replies
+    // collected in the same order.
     for (RpcSlot& slot : *slots) {
-      slot.request.reply_tag = next_reply_tag();
-      Request request = slot.request;
-      sim::Message out(node_, kTagRequest, slot.wire_bytes,
-                       std::move(request));
-      out.trace = t.trace;
-      out.span = t.span;
-      out.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
-      co_await network_->send(node_, slot.server, std::move(out));
+      slot.issued_tag = next_reply_tag();
+      co_await network_->send(node_, slot.server,
+                              request_message(slot, slot.issued_tag, 0));
     }
-    for (RpcSlot& slot : *slots) {
-      sim::Message msg = co_await network_->mailbox(node_).recv(
-          slot.server, slot.request.reply_tag);
-      slot.reply = msg.take<Reply>();
-    }
+    for (RpcSlot& slot : *slots) co_await rpc_attempts(&slot);
   } else {
     // Concurrent per-server RPCs, each with its own timeout/retry driver.
     sim::WaitGroup wg(*sched_);
     for (RpcSlot& slot : *slots) {
       wg.add(1);
-      sched_->start(rpc_fire(&slot, &wg));
+      sched_->start(failover_fire(&slot, &wg));
     }
     co_await wg.wait();
   }
+  // An error reply (the owning shard's veto of a dead handle included)
+  // is the slot's status.
   MetaResult result;
   result.handle = handle;
   std::int64_t size = 0;
   for (RpcSlot& slot : *slots) {
     if (!slot.status.is_ok()) {
       result.status = slot.status;
-      continue;
-    }
-    if (!slot.reply.ok && slot.server == owner) {
-      // The owning shard vetoes: the handle is no longer live.
-      result.status = Status(slot.reply.code == StatusCode::kOk
-                                 ? StatusCode::kInternal
-                                 : slot.reply.code,
-                             slot.reply.error);
       continue;
     }
     if (slot.reply.local_size > 0 && lay.slot_of_server(slot.server) >= 0) {
@@ -1051,7 +1028,7 @@ sim::Task<Status> Client::data_op(OpKind op, std::uint64_t handle,
     access_free_.pop_back();
   }
   std::int64_t pieces = 0;
-  SimTime per_region = config_->client.flatten_cost_per_region;
+  SimTime per_region = net::kFlattenCostPerRegion;
   if (const auto* c = std::get_if<ContigPayload>(&payload)) {
     const Region region{c->offset, c->length};
     pieces = build_access(layout, std::span<const Region>(&region, 1), access);
@@ -1132,9 +1109,9 @@ sim::Task<Status> Client::fan_out(SimTime client_cpu_cost,
                                   obs::Phase::kClientPrep);
   }
   co_await sched_->delay(
-      config_->client.issue_overhead + client_cpu_cost +
+      kIssueOverhead + client_cpu_cost +
       transfer_time(static_cast<std::uint64_t>(total_bytes),
-                    config_->client.memcpy_bandwidth_bytes_per_s));
+                    net::kMemcpyBandwidthBytesPerS));
   if (obs_ != nullptr) obs_->spans.end(prep_span, sched_->now());
 
   // Write-behind absorb: instead of sending per-server RPCs now, stage the
@@ -1224,8 +1201,7 @@ sim::Task<Status> Client::fan_out(SimTime client_cpu_cost,
       }, slot.request.payload);
     }
 
-    const std::uint64_t descriptor = request_descriptor_bytes(
-        slot.request, config_->list_io_bytes_per_region);
+    const std::uint64_t descriptor = request_descriptor_bytes(slot.request);
     slot.wire_bytes =
         descriptor + (is_write ? static_cast<std::uint64_t>(acc.total_bytes)
                                : 0);
@@ -1236,52 +1212,33 @@ sim::Task<Status> Client::fan_out(SimTime client_cpu_cost,
   }
 
   if (config_->client.rpc_timeout <= 0) {
-    // Legacy fast path (reliability off): requests to all involved servers
-    // stream CONCURRENTLY via detached sends — the tx link serializes at
-    // packet granularity, so flows interleave like PVFS's parallel
-    // per-server sockets — then replies are awaited in issue order. This
-    // is event-for-event the pre-reliability client. Every reply is
-    // collected even after one fails, so none is left in the mailbox.
+    // Untimed: requests to all involved servers stream CONCURRENTLY via
+    // detached sends — the tx link serializes at packet granularity, so
+    // flows interleave like PVFS's parallel per-server sockets — then
+    // replies are collected in issue order (a reply already queued costs
+    // no wake). Every reply is collected even after one fails, so none is
+    // left in the mailbox.
     for (RpcSlot& slot : *slots) {
-      slot.request.reply_tag = next_reply_tag();
-      Request request = slot.request;
-      sim::Message out(node_, kTagRequest, slot.wire_bytes,
-                       std::move(request));
-      out.trace = op_trace.trace;
-      out.span = slot.rpc_span;
-      out.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
-      sched_->start(send_fire(slot.server, Box<sim::Message>(std::move(out))));
+      slot.issued_tag = next_reply_tag();
+      sched_->start(send_fire(
+          slot.server,
+          Box<sim::Message>(request_message(slot, slot.issued_tag, 0))));
     }
     for (RpcSlot& slot : *slots) {
-      sim::Message msg = co_await network_->mailbox(node_).recv(
-          slot.server, slot.request.reply_tag);
-      Reply reply = msg.take<Reply>();
+      co_await rpc_attempts(&slot);
       if (obs_ != nullptr) obs_->spans.end(slot.rpc_span, sched_->now());
       slot.rpc_span = 0;
-      if (!reply.ok) {
-        slot.status = Status(reply.code == StatusCode::kOk
-                                 ? StatusCode::kInternal
-                                 : reply.code,
-                             reply.error);
-      } else if (reply.has_payload_crc && reply.data &&
-                 crc32(*reply.data) != reply.payload_crc) {
-        slot.status = data_loss("read reply payload CRC mismatch from server " +
-                                std::to_string(slot.server));
-      } else {
-        slot.reply = std::move(reply);
-      }
     }
   } else {
-    // Reliable path: one concurrent RPC driver per server, each with its
-    // own timeout/retry loop (a straggler or outage on one server must not
+    // Timed: one concurrent RPC driver per server, each with its own
+    // timeout/retry loop (a straggler or outage on one server must not
     // stall retries to the others); join, then validate and scatter. Under
     // replication, writes fan out to every replica of their home server
     // and join at write quorum (laggard copies finish in the background),
-    // and reads get the failover driver.
-    const int repl = effective_replication();
+    // and reads walk the replica ring.
     sim::WaitGroup wg(*sched_);
     std::vector<std::shared_ptr<QuorumGroup>> groups;
-    if (is_write && repl > 1) {
+    if (is_write && effective_replication() > 1) {
       groups.reserve(slots->size());
       for (RpcSlot& slot : *slots) {
         wg.add(1);
@@ -1290,15 +1247,10 @@ sim::Task<Status> Client::fan_out(SimTime client_cpu_cost,
         // this frame); ending span 0 below is a no-op.
         slot.rpc_span = 0;
       }
-    } else if (!is_write && repl > 1) {
-      for (RpcSlot& slot : *slots) {
-        wg.add(1);
-        sched_->start(failover_fire(&slot, &wg));
-      }
     } else {
       for (RpcSlot& slot : *slots) {
         wg.add(1);
-        sched_->start(rpc_fire(&slot, &wg));
+        sched_->start(failover_fire(&slot, &wg));
       }
     }
     co_await wg.wait();
@@ -1489,8 +1441,7 @@ sim::Task<Status> Client::wb_flush_server(int server, const char* reason,
   }
   slot.request.payload = std::move(batch);
 
-  const std::uint64_t descriptor = request_descriptor_bytes(
-      slot.request, config_->list_io_bytes_per_region);
+  const std::uint64_t descriptor = request_descriptor_bytes(slot.request);
   slot.wire_bytes = descriptor + static_cast<std::uint64_t>(flush_bytes);
   ++stats_.requests_sent;
   stats_.request_bytes += descriptor;
@@ -1499,9 +1450,9 @@ sim::Task<Status> Client::wb_flush_server(int server, const char* reason,
     // Issue overhead plus one staging-buffer copy into the wire buffer.
     // wb_flush_all charges a single combined prep instead.
     co_await sched_->delay(
-        config_->client.issue_overhead +
+        kIssueOverhead +
         transfer_time(static_cast<std::uint64_t>(flush_bytes),
-                      config_->client.memcpy_bandwidth_bytes_per_s));
+                      net::kMemcpyBandwidthBytesPerS));
   }
 
   if (obs_ != nullptr) {
@@ -1558,9 +1509,9 @@ sim::Task<Status> Client::wb_flush_all(const char* reason) {
   // One combined prep charge for the whole drain; per-server flushes then
   // run with charge_prep=false and overlap on the network.
   co_await sched_->delay(
-      config_->client.issue_overhead +
+      kIssueOverhead +
       transfer_time(static_cast<std::uint64_t>(wb_total_bytes_),
-                    config_->client.memcpy_bandwidth_bytes_per_s));
+                    net::kMemcpyBandwidthBytesPerS));
 
   if (involved.size() == 1) {
     co_return co_await wb_flush_server(involved[0], reason,
@@ -1595,9 +1546,7 @@ void Client::wb_strip_acked(RpcSlot* slot, const Reply& reply) {
   }
   if (rest.size() == batch->sub_ops.size()) return;  // nothing acked
   batch->sub_ops = std::move(rest);
-  slot->wire_bytes = request_descriptor_bytes(slot->request,
-                                              config_->list_io_bytes_per_region) +
-                     rest_bytes;
+  slot->wire_bytes = request_descriptor_bytes(slot->request) + rest_bytes;
 }
 
 std::uint64_t Client::wb_flushes() const noexcept {

@@ -304,7 +304,10 @@ class Client {
     Request request;
     std::uint64_t wire_bytes = 0;
     obs::SpanId rpc_span = 0;
-    int attempts = 0;
+    /// Reply tag of a first attempt the caller already sent (untimed
+    /// fan-outs post every request before collecting any reply); 0 = none,
+    /// rpc_attempts sends attempt 1 itself.
+    std::uint64_t issued_tag = 0;
     /// When > 0, caps rpc_attempts' retry loop below rpc_max_attempts —
     /// read failover retries at the replica-ring level instead.
     int max_attempts_override = 0;
@@ -312,19 +315,22 @@ class Client {
     Reply reply;
   };
 
-  /// Drive one RPC to completion. With the reliability layer armed
-  /// (rpc_timeout > 0): per-attempt timeout, bounded retries with
-  /// exponential backoff + deterministic jitter, fresh reply tag per
-  /// attempt, CRC verification of read-reply data, kUnavailable /
-  /// kTimedOut / kDataLoss surfaced through slot->status. With it off
-  /// (the default) this is exactly the legacy send + untimed recv.
+  /// Drive one RPC to completion: the one attempt loop behind every client
+  /// RPC. Timed (rpc_timeout > 0): per-attempt timeout, bounded retries
+  /// with exponential backoff + deterministic jitter, fresh reply tag per
+  /// attempt, one `rpc_attempt` span per attempt. Untimed (the default):
+  /// one attempt and an untimed recv, as PVFS clients wait. Both check
+  /// read-reply CRCs and surface errors through slot->status.
   ///
   /// Layered on top (each gated by its own ClientConfig knob, default
   /// off): circuit-breaker fail-fast, AIMD per-server window acquisition,
   /// hedged reads, and kOverloaded handling with the server's retry_after
   /// hint.
   sim::Task<void> rpc_attempts(RpcSlot* slot);
-  sim::Fire rpc_fire(RpcSlot* slot, sim::WaitGroup* wg);
+  /// The request message of one attempt of `slot`, on reply tag `tag`,
+  /// parented under `attempt_span` when it is nonzero.
+  sim::Message request_message(const RpcSlot& slot, std::uint64_t tag,
+                               obs::SpanId attempt_span) const;
 
   /// Replica-aware read driver (effective_replication() > 1, data reads
   /// only; otherwise forwards to rpc_attempts unchanged). Walks the
@@ -335,6 +341,8 @@ class Client {
   /// which serves the mirrored bytes. Lane health lands on the lane of the
   /// server each attempt actually targeted.
   sim::Task<void> rpc_attempts_failover(RpcSlot* slot);
+  /// The per-slot driver of every timed fan-out: rpc_attempts_failover,
+  /// then wg->done().
   sim::Fire failover_fire(RpcSlot* slot, sim::WaitGroup* wg);
 
   /// One write fanned out to every replica of its home server. The group

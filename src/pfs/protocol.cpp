@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "net/cost_model.h"
 #include "sim/mailbox.h"
 
 namespace dtio::pfs {
@@ -27,14 +28,12 @@ const char* op_name(OpKind op) noexcept {
   return "?";
 }
 
-std::uint64_t request_descriptor_bytes(const Request& request,
-                                       std::uint64_t list_bytes_per_region) {
+std::uint64_t request_descriptor_bytes(const Request& request) {
   constexpr std::uint64_t kHeader = 32;  // op, handle, tags, client id
   struct Visitor {
-    std::uint64_t bytes_per_region;
     std::uint64_t operator()(const ContigPayload&) const { return 16; }
     std::uint64_t operator()(const ListPayload& p) const {
-      return p.regions.size() * bytes_per_region;
+      return p.regions.size() * net::kListIoBytesPerRegion;
     }
     std::uint64_t operator()(const DatatypePayload& p) const {
       return 40 + (p.encoded_loop ? p.encoded_loop->size() : 0);
@@ -58,7 +57,7 @@ std::uint64_t request_descriptor_bytes(const Request& request,
   // the default (global layout) adds nothing.
   const std::uint64_t layout_bytes = request.layout_servers > 0 ? 16 : 0;
   return kHeader + layout_bytes +
-         std::visit(Visitor{list_bytes_per_region}, request.payload);
+         std::visit(Visitor{}, request.payload);
 }
 
 namespace {

@@ -273,8 +273,8 @@ struct Reply {
 /// Wire-size accounting for the request descriptor (excludes bulk data,
 /// which is added separately). These sizes drive the cost model: list I/O
 /// pays per-region descriptor bytes, datatype I/O pays the encoded loop.
-[[nodiscard]] std::uint64_t request_descriptor_bytes(const Request& request,
-                                                     std::uint64_t list_bytes_per_region);
+/// A list request pays net::kListIoBytesPerRegion per offset-length pair.
+[[nodiscard]] std::uint64_t request_descriptor_bytes(const Request& request);
 
 /// Fault-injection corruptor for protocol messages (installed into a
 /// net::FaultPlan by Cluster::set_fault_plan): flips one random bit in the

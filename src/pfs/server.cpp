@@ -31,6 +31,50 @@ constexpr SimTime kResyncPullTimeout = 50 * kMillisecond;
 /// retries).
 constexpr int kResyncPullAttempts = 3;
 
+// ---- Calibrated server costs (the paper's §4.1 testbed; the table in
+// docs/cost-model.md lists every constant and the figure it drives).
+
+/// Effective storage bandwidth (buffered SCSI disk behind the VFS).
+constexpr double kDiskBandwidthBytesPerS = 30.0 * 1024 * 1024;
+
+/// Per-storage-access setup (request dispatch into the storage layer).
+constexpr SimTime kDiskAccessOverhead = 400 * kMicrosecond;
+
+/// Disk bytes a request handler waits for before the rest of its
+/// transfer drains in the background (the iod's streaming granule).
+constexpr std::int64_t kPipelineChunk = 64 * 1024;
+
+/// CPU cost per offset-length access region handled by the server
+/// (building the PVFS job/access structures and walking them). This is
+/// the term behind the paper's §4.3 observation that server-side list
+/// processing depresses read performance at scale.
+constexpr SimTime kPerRegionCost = 4 * kMicrosecond;
+
+/// Per-region cost on the WRITE path. Writes scatter an already-ordered
+/// incoming stream and ack once data is queued behind the buffer cache,
+/// so the per-region work the client waits on is much smaller — the
+/// asymmetry behind §4.3's "reads dip, writes don't (TCP buffering)".
+constexpr SimTime kPerRegionCostWrite = 300;  // ns
+
+/// Cost to decode a shipped dataloop (per dataloop node).
+constexpr SimTime kDataloopDecodeCostPerNode = 2 * kMicrosecond;
+
+/// CPU cost per pruned subtree: one span/stripe intersection probe (a
+/// handful of integer ops) charged for each subtree skipped.
+constexpr SimTime kSubtreeProbeCost = 50;  // ns
+
+/// CPU charged to fast-reject one shed request (header decode + reply
+/// setup — far below request_overhead, which is the point of shedding).
+constexpr SimTime kShedCost = 50 * kMicrosecond;
+
+/// Disk time of `accesses` storage accesses moving `bytes` in total,
+/// before the degraded-factor scaling a request's own charges get.
+SimTime disk_time(std::int64_t bytes, std::int64_t accesses = 1) {
+  return accesses * kDiskAccessOverhead +
+         transfer_time(static_cast<std::uint64_t>(bytes),
+                       kDiskBandwidthBytesPerS);
+}
+
 /// Applies one physical write run: through the buffer cache when it is on
 /// (`plan` collects the disk work the handler charges afterwards), else
 /// straight to the bstream — the bytes when the request carries them, a
@@ -384,8 +428,7 @@ sim::Task<std::optional<Reply>> IOServer::pull_from_peer(
   req.payload = std::move(payload);
   const std::uint64_t tag = req.reply_tag;
   const std::uint64_t wire =
-      config_->net.per_message_overhead_bytes +
-      request_descriptor_bytes(req, config_->list_io_bytes_per_region);
+      config_->net.per_message_overhead_bytes + request_descriptor_bytes(req);
   co_await network_->send(
       server_index_, peer,
       sim::Message(server_index_, kTagRequest, wire, std::move(req)));
@@ -458,10 +501,7 @@ sim::Task<void> IOServer::resync() {
         ++pulled_strips;
         pulled_bytes += static_cast<std::uint64_t>(ext.length);
         ++stats_.disk_accesses;
-        co_await disk_.use(
-            config_->server.disk_access_overhead +
-            transfer_time(static_cast<std::uint64_t>(ext.length),
-                          config_->server.disk_bandwidth_bytes_per_s));
+        co_await disk_.use(disk_time(ext.length));
         if (crashed_ || epoch_ != my_epoch) {
           if (obs_ != nullptr) obs_->spans.end(span, sched_->now());
           co_return;
@@ -636,10 +676,9 @@ SimTime IOServer::backlog_drain_estimate() const {
   const net::ServerConfig& cfg = config_->server;
   const sim::Mailbox& mb = network_->mailbox(server_index_);
   const auto depth = static_cast<std::int64_t>(mb.queued());
-  const SimTime per_request = cfg.request_overhead + cfg.disk_access_overhead;
-  return scaled(depth * per_request +
-                transfer_time(mb.queued_bytes(),
-                              cfg.disk_bandwidth_bytes_per_s));
+  return scaled(depth * cfg.request_overhead +
+                disk_time(static_cast<std::int64_t>(mb.queued_bytes()),
+                          depth));
 }
 
 double IOServer::degraded_factor_now() const {
@@ -664,7 +703,7 @@ sim::Task<void> IOServer::shed_request(Box<Request> boxed, const char* reason) {
   // Shedding is cheap by design — that is the whole point of admission
   // control: a bounded, small cost per refused request instead of an
   // unbounded queue of full-price ones.
-  co_await cpu_.use(scaled(config_->server.shed_cost));
+  co_await cpu_.use(scaled(kShedCost));
   Reply reply;
   reply.ok = false;
   reply.code = StatusCode::kOverloaded;
@@ -948,7 +987,7 @@ sim::Task<void> IOServer::handle_data(Request& request) {
   // Lowering, the only method-dependent step: every method ends as
   // offset-length accesses to this server's strips. Contig and list apply
   // the regions they carry; datatype expands its dataloop here.
-  SimTime per_region = is_write ? sc.per_region_cost_write : sc.per_region_cost;
+  SimTime per_region = is_write ? kPerRegionCostWrite : kPerRegionCost;
   std::int64_t skipped = 0;
   if (const auto* c = std::get_if<ContigPayload>(&request.payload)) {
     applier.reserve(c->length);
@@ -1062,8 +1101,7 @@ sim::Task<dl::DataloopPtr> IOServer::load_dataloop(Request& request) {
       obs_->spans.set_value(decode_span, p.loop_node_count);
     }
     co_await sched_->delay(
-        scaled(config_->server.dataloop_decode_cost_per_node *
-               p.loop_node_count));
+        scaled(kDataloopDecodeCostPerNode * p.loop_node_count));
     if (obs_ != nullptr) obs_->spans.end(decode_span, sched_->now());
     if (config_->server.dataloop_cache) {
       loop_cache_order_.push_back(cache_key);
@@ -1142,7 +1180,7 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
   }
 
   co_await charge_data(applied_subs, applied_subs,
-                       config_->server.per_region_cost_write, 0, cache,
+                       kPerRegionCostWrite, 0, cache,
                        std::move(plan), applied_bytes);
 
   // Per-sub-op acks land AFTER the charges, like finish_data_reply's: a
@@ -1177,8 +1215,7 @@ sim::Task<void> IOServer::charge_data(std::int64_t pieces,
   co_await charge_regions(pieces, per_region);
   if (subtrees_skipped > 0) {
     // Each pruned subtree still costs one span/stripe intersection probe.
-    co_await cpu_.use(
-        scaled(config_->server.subtree_probe_cost * subtrees_skipped));
+    co_await cpu_.use(scaled(kSubtreeProbeCost * subtrees_skipped));
   }
   co_await charge_storage(cache, std::move(plan),
                           cache != nullptr ? 0 : my_bytes);
@@ -1484,10 +1521,7 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
             remaining.end());
         ++repaired;
         ++stats_.disk_accesses;
-        co_await disk_.use(
-            config_->server.disk_access_overhead +
-            transfer_time(static_cast<std::uint64_t>(ext.length),
-                          config_->server.disk_bandwidth_bytes_per_s));
+        co_await disk_.use(disk_time(ext.length));
         if (crashed_ || epoch_ != my_epoch) co_return repaired;
       }
       break;  // got an answer; whatever it lacked, the next peer may hold
@@ -1563,10 +1597,7 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
           (len + Bstream::kPageSize - 1) / Bstream::kPageSize);
       stats_.scrub_blocks += pages;
       ++stats_.disk_accesses;
-      co_await disk_.use(
-          config_->server.disk_access_overhead +
-          transfer_time(static_cast<std::uint64_t>(len),
-                        config_->server.disk_bandwidth_bytes_per_s));
+      co_await disk_.use(disk_time(len));
       if (crashed_ || epoch_ != my_epoch) {
         scrubbing_ = false;
         co_return;
@@ -1615,23 +1646,22 @@ sim::Task<void> IOServer::charge_disk(std::int64_t bytes) {
                                   obs::Phase::kServerDisk);
     obs_->spans.set_value(disk_span, bytes);
   }
+  co_await disk_pipelined(bytes);
+  if (obs_ != nullptr) obs_->spans.end(disk_span, sched_->now());
+}
+
+sim::Task<void> IOServer::disk_pipelined(std::int64_t bytes) {
   // The iod streams between disk and network: the request handler blocks
   // only until the pipeline is primed (setup + first chunk); the rest of
   // the disk time drains concurrently with the reply's transmission,
   // still serialised against other requests on this disk.
-  constexpr std::int64_t kPipelineChunk = 64 * 1024;
   const std::int64_t first = std::min(bytes, kPipelineChunk);
-  co_await disk_.use(
-      scaled(config_->server.disk_access_overhead +
-             transfer_time(static_cast<std::uint64_t>(first),
-                           config_->server.disk_bandwidth_bytes_per_s)));
-  const std::int64_t rest = bytes - first;
-  if (rest > 0) {
-    sched_->start(disk_drain(scaled(transfer_time(
-        static_cast<std::uint64_t>(rest),
-        config_->server.disk_bandwidth_bytes_per_s))));
+  co_await disk_.use(scaled(disk_time(first)));
+  if (bytes > first) {
+    sched_->start(disk_drain(
+        scaled(transfer_time(static_cast<std::uint64_t>(bytes - first),
+                             kDiskBandwidthBytesPerS))));
   }
-  if (obs_ != nullptr) obs_->spans.end(disk_span, sched_->now());
 }
 
 sim::Fire IOServer::disk_drain(SimTime hold) { co_await disk_.use(hold); }
@@ -1664,21 +1694,11 @@ sim::Task<void> IOServer::charge_cache_plan(cache::AccessPlan plan) {
                                   obs::Phase::kServerCache);
     obs_->spans.set_value(disk_span, sync_bytes);
   }
-  constexpr std::int64_t kPipelineChunk = 64 * 1024;
   for (const std::vector<cache::IoSeg>* segs :
        {&plan.sync_reads, &plan.sync_writes}) {
     for (const cache::IoSeg& seg : *segs) {
       ++stats_.disk_accesses;
-      const std::int64_t first = std::min(seg.bytes, kPipelineChunk);
-      co_await disk_.use(
-          scaled(config_->server.disk_access_overhead +
-                 transfer_time(static_cast<std::uint64_t>(first),
-                               config_->server.disk_bandwidth_bytes_per_s)));
-      if (seg.bytes > first) {
-        sched_->start(disk_drain(scaled(transfer_time(
-            static_cast<std::uint64_t>(seg.bytes - first),
-            config_->server.disk_bandwidth_bytes_per_s))));
-      }
+      co_await disk_pipelined(seg.bytes);
     }
   }
   if (obs_ != nullptr && sync_bytes > 0) {
@@ -1693,10 +1713,7 @@ sim::Task<void> IOServer::charge_cache_plan(cache::AccessPlan plan) {
     for (const cache::IoSeg& seg : *segs) {
       ++stats_.disk_accesses;
       stats_.disk_bytes += static_cast<std::uint64_t>(seg.bytes);
-      sched_->start(disk_drain(
-          scaled(config_->server.disk_access_overhead +
-                 transfer_time(static_cast<std::uint64_t>(seg.bytes),
-                               config_->server.disk_bandwidth_bytes_per_s))));
+      sched_->start(disk_drain(scaled(disk_time(seg.bytes))));
     }
   }
 }

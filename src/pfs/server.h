@@ -69,7 +69,7 @@ struct ServerStats {
   std::uint64_t degraded_requests = 0;  ///< requests served at factor > 1
   std::uint64_t replays_expired = 0;    ///< replay acks evicted by age
   std::uint64_t disk_accesses = 0;      ///< disk ops charged (each pays one
-                                        ///< disk_access_overhead)
+                                        ///< access setup)
   std::uint64_t disk_bytes = 0;         ///< bytes of request and cache disk
                                         ///< traffic (resync, repair and
                                         ///< scrub I/O not included)
@@ -318,7 +318,7 @@ class IOServer {
   /// the method; apply, charge, media verify and reply are shared.
   sim::Task<void> handle_data(Request& request);
   /// The datatype request's dataloop — from the LRU cache or decoded at
-  /// dataloop_decode_cost_per_node — with its stream window validated.
+  /// a per-node decode cost — with its stream window validated.
   /// Returns nullptr after answering a malformed request with an error.
   sim::Task<dl::DataloopPtr> load_dataloop(Request& request);
   /// Write-behind flush envelope: many pre-clipped physical sub-writes,
@@ -344,6 +344,10 @@ class IOServer {
                                  cache::AccessPlan plan,
                                  std::int64_t direct_bytes);
   sim::Task<void> charge_disk(std::int64_t bytes);
+  /// One synchronous disk access of `bytes`: the handler waits for the
+  /// setup and the first pipeline chunk; the rest drains in the
+  /// background on the disk resource.
+  sim::Task<void> disk_pipelined(std::int64_t bytes);
   /// Charge the disk work a cached access generated: sync segments (miss
   /// fills, write-through stores) block the handler with the same
   /// pipelined shape as charge_disk; async segments (readahead, write-back

@@ -279,30 +279,35 @@ TEST(MetaSharding, NamespaceSpreadsAndRoutesConsistently) {
 }
 
 TEST(MetaSharding, StaleHandleStatIsTypedNotFound) {
-  for (const int shards : {1, 2}) {
-    net::ClusterConfig cfg;
-    cfg.num_servers = 2;
-    cfg.num_clients = 1;
-    cfg.meta_shards = shards;
-    pfs::Cluster cluster(cfg);
-    auto client = cluster.make_client(0);
-    bool done = false;
-    cluster.scheduler().spawn(
-        [](pfs::Client& c, bool& ok) -> Task<void> {
-          const pfs::MetaResult f = co_await c.create("/stale");
-          ok = f.status.is_ok();
-          ok = ok && (co_await c.stat_handle(f.handle)).status.is_ok();
-          ok = ok && (co_await c.remove("/stale")).status.is_ok();
-          const pfs::MetaResult stale = co_await c.stat_handle(f.handle);
-          ok = ok && !stale.status.is_ok() &&
-               stale.status.code() == StatusCode::kNotFound;
-          // A handle no shard ever issued is equally dead.
-          const pfs::MetaResult never = co_await c.stat_handle(9999);
-          ok = ok && !never.status.is_ok() &&
-               never.status.code() == StatusCode::kNotFound;
-        }(*client, done));
-    cluster.run();
-    EXPECT_TRUE(done) << shards << " shard(s)";
+  // Both reply-collection shapes: untimed (in issue order) and timed (one
+  // driver per server).
+  for (const SimTime timeout : {SimTime{0}, 50 * kMillisecond}) {
+    for (const int shards : {1, 2}) {
+      net::ClusterConfig cfg;
+      cfg.num_servers = 2;
+      cfg.num_clients = 1;
+      cfg.meta_shards = shards;
+      cfg.client.rpc_timeout = timeout;
+      pfs::Cluster cluster(cfg);
+      auto client = cluster.make_client(0);
+      bool done = false;
+      cluster.scheduler().spawn(
+          [](pfs::Client& c, bool& ok) -> Task<void> {
+            const pfs::MetaResult f = co_await c.create("/stale");
+            ok = f.status.is_ok();
+            ok = ok && (co_await c.stat_handle(f.handle)).status.is_ok();
+            ok = ok && (co_await c.remove("/stale")).status.is_ok();
+            const pfs::MetaResult stale = co_await c.stat_handle(f.handle);
+            ok = ok && !stale.status.is_ok() &&
+                 stale.status.code() == StatusCode::kNotFound;
+            // A handle no shard ever issued is equally dead.
+            const pfs::MetaResult never = co_await c.stat_handle(9999);
+            ok = ok && !never.status.is_ok() &&
+                 never.status.code() == StatusCode::kNotFound;
+          }(*client, done));
+      cluster.run();
+      EXPECT_TRUE(done) << shards << " shard(s), rpc_timeout " << timeout;
+    }
   }
 }
 

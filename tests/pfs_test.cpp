@@ -414,6 +414,47 @@ TEST(EndToEnd, FailedDatatypeReadDrainsEverySiblingReply) {
   EXPECT_EQ(cluster.network().mailbox(client->node_id()).queued(), 0u);
 }
 
+TEST(EndToEnd, CorruptedReadReplyIsDataLossInDefaultMode) {
+  // Default (untimed) mode, one attempt per request: every read reply is
+  // bit-flipped in flight, so the client's CRC check must surface typed
+  // data loss rather than wrong bytes, and still collect every reply.
+  // The plan only corrupts: an untimed RPC waits forever for a lost reply.
+  Cluster cluster(small_config());
+  auto client = cluster.make_client(0);
+  const auto data = pattern_bytes(4096, 19);  // one strip on each server
+  std::uint64_t handle = 0;
+  cluster.scheduler().spawn(
+      [](Client& c, const std::vector<std::uint8_t>& src,
+         std::uint64_t& h) -> Task<void> {
+        MetaResult f = co_await c.create("/rot-in-flight");
+        EXPECT_TRUE(f.status.is_ok());
+        EXPECT_TRUE((co_await c.write_contig(f.handle, 0, src.data(),
+                                             4096)).is_ok());
+        h = f.handle;
+      }(*client, data, handle));
+  cluster.run();
+  ASSERT_NE(handle, 0u);
+
+  net::FaultPlan plan(7);
+  plan.set_default_spec(net::FaultSpec{.corrupt = 1.0});
+  cluster.set_fault_plan(&plan);
+  const std::uint64_t sent_before = client->stats().requests_sent;
+  Status status;
+  cluster.scheduler().spawn(
+      [](Client& c, std::uint64_t h, Status& out) -> Task<void> {
+        std::vector<std::uint8_t> back(4096);
+        out = co_await c.read_contig(h, 0, back.data(), 4096);
+      }(*client, handle, status));
+  cluster.run();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.to_string();
+  EXPECT_NE(status.message().find("observed crc"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(client->stats().requests_sent - sent_before, 4u);  // one each
+  EXPECT_EQ(client->rpc_retries(), 0u);
+  EXPECT_EQ(plan.counters().corrupted, 4u);
+  EXPECT_EQ(cluster.network().mailbox(client->node_id()).queued(), 0u);
+}
+
 TEST(EndToEnd, CrossInterfaceOracle) {
   // Write with the datatype interface, read back with list and contig:
   // all three views of the file must agree byte-for-byte.
