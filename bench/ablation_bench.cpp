@@ -16,20 +16,16 @@
 //
 // All timings are simulated seconds.
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "dataloop/serialize.h"
-#include "workloads/tile.h"
-#include "collective/comm.h"
 #include "dataloop/cursor.h"
-#include "io/methods.h"
-#include "mpiio/file.h"
-#include "pfs/cluster.h"
+#include "dataloop/serialize.h"
 #include "workloads/block3d.h"
 #include "workloads/flash.h"
+#include "workloads/tile.h"
 
 namespace dtio {
 namespace {
@@ -83,39 +79,16 @@ void ablate_coalescing(obs::RunReport& report) {
 // ---- B: list-I/O region cap ------------------------------------------------------
 
 double run_flash_once(net::ClusterConfig cfg, Method method, int nclients) {
-  workloads::FlashConfig flash;
+  const workloads::FlashConfig flash;
   cfg.num_clients = nclients;
-  pfs::Cluster cluster(cfg);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), nclients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < nclients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/a", true);
-  }(*files[0]));
-  cluster.run();
-  const SimTime t0 = cluster.scheduler().now();
-  for (int r = 0; r < nclients; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, coll::Communicator& c,
-           const workloads::FlashConfig& fl, int rank, int n,
-           Method m) -> Task<void> {
-          if (rank != 0) (void)co_await f.open("/a", false);
-          f.set_view(fl.displacement(rank), types::byte_t(), fl.filetype(n));
-          auto memtype = fl.memtype();
-          (void)co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype, m);
-        }(*files[r], comm, flash, r, nclients, method));
-  }
-  cluster.run();
-  return to_seconds(cluster.scheduler().now() - t0);
+  const bench::MethodResult r = bench::run_ranks(
+      method, cfg, "/a", nullptr,
+      [&](mpiio::File& f, coll::Communicator& c, int rank) {
+        return bench::flash_checkpoint(f, c, flash, rank, method);
+      });
+  bench::require_no_failures(r, "ablation",
+                             "flash/" + std::to_string(nclients));
+  return r.seconds;
 }
 
 void ablate_list_cap(obs::RunReport& report) {
@@ -145,40 +118,19 @@ void ablate_list_cap(obs::RunReport& report) {
 // ---- C: server-side region processing (the §4.3 read dip) -------------------------
 
 double run_block3d_read(net::ClusterConfig cfg, int blocks_per_edge) {
-  workloads::Block3dConfig block{.dim = 600,
-                                 .blocks_per_edge = blocks_per_edge};
+  const workloads::Block3dConfig block{.dim = 600,
+                                       .blocks_per_edge = blocks_per_edge};
   cfg.num_clients = block.num_clients();
-  pfs::Cluster cluster(cfg);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), cfg.num_clients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/b", true);
-  }(*files[0]));
-  cluster.run();
-  const SimTime t0 = cluster.scheduler().now();
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, coll::Communicator& c,
-           const workloads::Block3dConfig& b, int rank) -> Task<void> {
-          if (rank != 0) (void)co_await f.open("/b", false);
-          f.set_view(0, types::byte_t(), b.block_filetype(rank));
-          auto memtype = b.memtype();
-          (void)co_await f.read_at_all(c, rank, 0, nullptr, 1, memtype,
-                                       Method::kDatatype);
-        }(*files[r], comm, block, r));
-  }
-  cluster.run();
-  return to_seconds(cluster.scheduler().now() - t0);
+  const bench::MethodResult r = bench::run_ranks(
+      Method::kDatatype, cfg, "/b", nullptr,
+      [&](mpiio::File& f, coll::Communicator& c, int rank) {
+        return bench::block3d_access(f, c, block, rank, /*write=*/false,
+                                     Method::kDatatype);
+      });
+  bench::require_no_failures(r, "ablation",
+                             "block3d read/" +
+                                 std::to_string(block.num_clients()));
+  return r.seconds;
 }
 
 void ablate_server_region_cost(obs::RunReport& report) {
@@ -307,45 +259,28 @@ void ablate_pvfs2_mode(obs::RunReport& report) {
 
 // ---- G: two-phase write-back strategy for holey rounds (paper §2.3/§5) --------------
 
+/// One rank of the sparse collective write below.
+Task<Status> sparse_write(mpiio::File& f, coll::Communicator& c, int rank) {
+  auto block = types::contiguous(1024, types::byte_t());
+  auto strided = types::resized(block, 0, 16 * 1024);
+  f.set_view(rank * 1024, types::byte_t(), strided);
+  auto memtype = types::contiguous(8192 * 1024, types::byte_t());
+  co_return co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype,
+                                    Method::kTwoPhase);
+}
+
 double run_sparse_collective_write(net::CbWriteMode mode) {
   // 8 ranks each write every 16th 1 KiB block of a 128 MiB file: every
   // two-phase round has holes, forcing the write-back strategy to matter.
-  constexpr int kRanks = 8;
   net::ClusterConfig cfg;
   cfg.cb_write_noncontig = mode;
-  cfg.num_clients = kRanks;
-  pfs::Cluster cluster(cfg);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), kRanks);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < kRanks; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/sparse", true);
-  }(*files[0]));
-  cluster.run();
-  const SimTime t0 = cluster.scheduler().now();
-  for (int r = 0; r < kRanks; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, coll::Communicator& c, int rank) -> Task<void> {
-          if (rank != 0) (void)co_await f.open("/sparse", false);
-          auto block = types::contiguous(1024, types::byte_t());
-          auto strided = types::resized(block, 0, 16 * 1024);
-          f.set_view(rank * 1024, types::byte_t(), strided);
-          auto memtype = types::contiguous(8192 * 1024, types::byte_t());
-          (void)co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype,
-                                        Method::kTwoPhase);
-        }(*files[r], comm, r));
-  }
-  cluster.run();
-  return to_seconds(cluster.scheduler().now() - t0);
+  cfg.num_clients = 8;
+  const bench::MethodResult r = bench::run_ranks(
+      Method::kTwoPhase, cfg, "/sparse", nullptr, sparse_write);
+  bench::require_no_failures(
+      r, "ablation",
+      "sparse cb_write_noncontig=" + std::to_string(static_cast<int>(mode)));
+  return r.seconds;
 }
 
 void ablate_cb_write_back(obs::RunReport& report) {

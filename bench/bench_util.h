@@ -1,6 +1,15 @@
 // Shared plumbing for the paper-reproduction benches: flag parsing,
-// aligned table printing, and the per-method result record every figure
-// bench reports.
+// aligned table printing, the per-method result record every figure
+// bench reports, and the one run harness every figure run goes through.
+//
+// run_ranks() is one figure run as a single self-contained call: it builds
+// the cluster and the per-rank client/File stacks, has rank 0 create the
+// file, then times every rank opening it and running the caller's
+// per-rank program, and fills a MethodResult (simulated seconds, rank 0's
+// IoStats, events, latency, failed and unsupported rank counts). A
+// post-run hook hands the finished cluster and ranks to callers that read
+// more from them. The FLASH and 3-D block rank programs are shared here by
+// their figure benches and the ablations.
 //
 // These benches measure SIMULATED time (the discrete-event clock), not
 // wall time, which is why they use a custom main() rather than
@@ -13,14 +22,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "collective/comm.h"
 #include "common/stats.h"
+#include "common/status.h"
 #include "common/units.h"
 #include "mpiio/file.h"
 #include "obs/observability.h"
 #include "obs/run_report.h"
+#include "pfs/cluster.h"
+#include "workloads/block3d.h"
+#include "workloads/flash.h"
 
 namespace dtio::bench {
 
@@ -77,7 +93,8 @@ inline bool obs_enabled(int argc, char** argv) {
 
 struct MethodResult {
   mpiio::Method method = mpiio::Method::kPosix;
-  bool supported = true;
+  int unsupported_ranks = 0;   ///< ranks whose program returned kUnsupported
+  int failed_ranks = 0;        ///< ranks whose program returned another error
   double seconds = 0;          ///< simulated seconds
   double bandwidth = 0;        ///< aggregate desired bytes / second
   IoStats per_client;          ///< rank 0's counters
@@ -85,9 +102,10 @@ struct MethodResult {
   obs::LatencySummary latency; ///< client-op latency (zero when obs is off)
   std::uint64_t spans_recorded = 0;  ///< spans kept by the collector
   std::uint64_t spans_dropped = 0;   ///< spans lost to capacity (should be 0)
+
+  [[nodiscard]] bool supported() const { return unsupported_ranks == 0; }
 };
 
-inline double to_mib(double bytes) { return bytes / (1024.0 * 1024.0); }
 inline double to_mb(double bytes) { return bytes / 1e6; }
 
 /// Pull the merged client-op latency distribution out of a finished run's
@@ -111,12 +129,14 @@ inline void capture_latency(MethodResult& r, const obs::Observability& obs) {
 }
 
 /// MethodResult -> the machine-readable report entry. `tag` prefixes the
-/// method name ("read/27/" etc.) when one report covers several sweeps.
+/// method name ("read/27/" etc.) when one report covers several sweeps. An
+/// unsupported method reports only its name.
 inline obs::MethodReport to_report(const MethodResult& r,
                                    const std::string& tag = "") {
   obs::MethodReport m;
   m.method = tag + std::string(mpiio::method_name(r.method));
-  m.supported = r.supported;
+  m.supported = r.supported();
+  if (!m.supported) return m;
   m.sim_seconds = r.seconds;
   m.bandwidth_mb_s = to_mb(r.bandwidth);
   m.events = r.events;
@@ -144,7 +164,7 @@ inline void write_report(const obs::RunReport& report, int argc, char** argv,
 
 /// "Figure 8"-style row: method, aggregate MB/s, simulated seconds.
 inline void print_figure_row(const MethodResult& r) {
-  if (!r.supported) {
+  if (!r.supported()) {
     std::printf("  %-18s %12s %12s\n",
                 std::string(mpiio::method_name(r.method)).c_str(), "n/a",
                 "n/a");
@@ -162,7 +182,7 @@ inline void print_figure_header(const char* title) {
 
 /// "Table 1/2/3"-style row: per-client desired/accessed/ops/resent.
 inline void print_table_row(const MethodResult& r) {
-  if (!r.supported) {
+  if (!r.supported()) {
     std::printf("  %-18s %11s %11s %11s %11s\n",
                 std::string(mpiio::method_name(r.method)).c_str(), "-", "-",
                 "-", "-");
@@ -188,6 +208,121 @@ inline void print_table_header(const char* title) {
               "accessed", "io ops/cli", "resent/cli");
 }
 
-inline const char* paper_note(const char* text) { return text; }
+// ---- Run harness ------------------------------------------------------------
+
+/// One client stack per rank: pfs::Client and the mpiio::File on it.
+/// Timing-only (no data bytes move) at this scale.
+struct Ranks {
+  std::vector<std::unique_ptr<pfs::Client>> clients;
+  std::vector<std::unique_ptr<mpiio::File>> files;
+};
+
+inline Ranks make_ranks(pfs::Cluster& cluster) {
+  Ranks out;
+  for (int r = 0; r < cluster.config().num_clients; ++r) {
+    out.clients.push_back(cluster.make_client(r));
+    out.clients.back()->set_transfer_data(false);
+    out.files.push_back(std::make_unique<mpiio::File>(io::Context{
+        cluster.scheduler(), *out.clients.back(), cluster.config()}));
+  }
+  return out;
+}
+
+/// One rank's share of a figure run, started once the rank has the file
+/// open; returns the status of its I/O.
+using RankProgram = std::function<sim::Task<Status>(
+    mpiio::File& file, coll::Communicator& comm, int rank)>;
+/// Reads what only one caller needs from the finished run; `t0` is when
+/// the timed window opened.
+using AfterRun =
+    std::function<void(pfs::Cluster& cluster, Ranks& ranks, SimTime t0)>;
+
+/// One figure run: a cluster built from `cfg` (with `obs` attached when
+/// given) and one rank per client. Rank 0 creates `path` untimed; then
+/// every rank opens it (rank 0 already has it) and runs `program`, and the
+/// timed window lasts until the cluster is quiescent. The path's length
+/// rides every request descriptor, so callers keep their own.
+inline MethodResult run_ranks(mpiio::Method method,
+                              const net::ClusterConfig& cfg,
+                              const std::string& path,
+                              obs::Observability* obs,
+                              const RankProgram& program,
+                              const AfterRun& after = nullptr) {
+  pfs::Cluster cluster(cfg);
+  if (obs != nullptr) cluster.set_observability(obs);
+  coll::Communicator comm(cluster.scheduler(), cluster.network(),
+                          cluster.config(), cfg.num_clients);
+  Ranks ranks = make_ranks(cluster);
+  cluster.scheduler().spawn(
+      [](mpiio::File& f, const std::string& p) -> sim::Task<void> {
+        (void)co_await f.open(p, true);
+      }(*ranks.files[0], path));
+  cluster.run();
+
+  MethodResult result;
+  result.method = method;
+  const SimTime t0 = cluster.scheduler().now();
+  for (int r = 0; r < cfg.num_clients; ++r) {
+    cluster.scheduler().spawn(
+        [](mpiio::File& f, coll::Communicator& c, int rank,
+           const std::string& p, const RankProgram& prog,
+           MethodResult& out) -> sim::Task<void> {
+          if (rank != 0) (void)co_await f.open(p, false);
+          const Status s = co_await prog(f, c, rank);
+          if (s.code() == StatusCode::kUnsupported) {
+            ++out.unsupported_ranks;
+          } else if (!s.is_ok()) {
+            ++out.failed_ranks;
+          }
+        }(*ranks.files[r], comm, r, path, program, result));
+  }
+  cluster.run();
+
+  result.seconds = to_seconds(cluster.scheduler().now() - t0);
+  result.per_client = ranks.clients[0]->stats();
+  result.events = cluster.scheduler().events_processed();
+  if (obs != nullptr) capture_latency(result, *obs);
+  if (after) after(cluster, ranks, t0);
+  return result;
+}
+
+/// A failed rank op moved fewer bytes than a bandwidth would count, so a
+/// run with one prints no number: it names the bench, point and method on
+/// stderr and exits 1.
+inline void require_no_failures(const MethodResult& r, const char* bench,
+                                const std::string& point) {
+  if (r.failed_ranks == 0) return;
+  std::fprintf(stderr, "error: %s %s %s: %d rank(s) failed\n", bench,
+               point.c_str(), std::string(mpiio::method_name(r.method)).c_str(),
+               r.failed_ranks);
+  std::exit(1);
+}
+
+// ---- Shared rank programs ---------------------------------------------------
+
+/// FLASH checkpoint (Figure 12): the rank writes its blocks collectively.
+inline sim::Task<Status> flash_checkpoint(mpiio::File& f,
+                                          coll::Communicator& c,
+                                          const workloads::FlashConfig& flash,
+                                          int rank, mpiio::Method m) {
+  f.set_view(flash.displacement(rank), types::byte_t(),
+             flash.filetype(c.size()));
+  auto memtype = flash.memtype();
+  co_return co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype, m);
+}
+
+/// 3-D block (Figure 10): the rank reads or writes its subarray
+/// collectively.
+inline sim::Task<Status> block3d_access(mpiio::File& f, coll::Communicator& c,
+                                        const workloads::Block3dConfig& block,
+                                        int rank, bool write,
+                                        mpiio::Method m) {
+  f.set_view(0, types::byte_t(), block.block_filetype(rank));
+  auto memtype = block.memtype();
+  if (write) {
+    co_return co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype, m);
+  }
+  co_return co_await f.read_at_all(c, rank, 0, nullptr, 1, memtype, m);
+}
 
 }  // namespace dtio::bench

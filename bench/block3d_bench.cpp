@@ -10,14 +10,10 @@
 //        (POSIX at 600^3 issues 90 000+ ops per client and dominates the
 //        bench's wall time; it is on by default because the paper ran it)
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "collective/comm.h"
-#include "io/methods.h"
-#include "mpiio/file.h"
-#include "pfs/cluster.h"
 #include "workloads/block3d.h"
 
 namespace dtio {
@@ -25,67 +21,22 @@ namespace {
 
 using bench::MethodResult;
 using mpiio::Method;
-using sim::Task;
 
 MethodResult run_block3d(Method method, const workloads::Block3dConfig& block,
                          bool is_write, bool use_obs) {
   net::ClusterConfig cfg;
   cfg.num_clients = block.num_clients();
-
-  pfs::Cluster cluster(cfg);
   obs::Observability obs(1 << 16);
-  if (use_obs) cluster.set_observability(&obs);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), cfg.num_clients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/block3d", true);
-  }(*files[0]));
-  cluster.run();
-
-  const SimTime t0 = cluster.scheduler().now();
-  int unsupported = 0;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, coll::Communicator& c,
-           const workloads::Block3dConfig& b, int rank, Method m, bool write,
-           int& unsup) -> Task<void> {
-          if (rank != 0) (void)co_await f.open("/block3d", false);
-          f.set_view(0, types::byte_t(), b.block_filetype(rank));
-          auto memtype = b.memtype();
-          Status s;
-          if (write) {
-            s = co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype, m);
-          } else {
-            s = co_await f.read_at_all(c, rank, 0, nullptr, 1, memtype, m);
-          }
-          if (s.code() == StatusCode::kUnsupported) ++unsup;
-        }(*files[r], comm, block, r, method, is_write, unsupported));
-  }
-  cluster.run();
-
-  MethodResult result;
-  result.method = method;
-  if (unsupported > 0) {
-    result.supported = false;
-    return result;
-  }
-  result.seconds = to_seconds(cluster.scheduler().now() - t0);
+  MethodResult result = bench::run_ranks(
+      method, cfg, "/block3d", use_obs ? &obs : nullptr,
+      [&](mpiio::File& f, coll::Communicator& c, int rank) {
+        return bench::block3d_access(f, c, block, rank, is_write, method);
+      });
+  bench::require_no_failures(result, "block3d",
+                             (is_write ? "write/" : "read/") +
+                                 std::to_string(block.num_clients()));
   result.bandwidth = static_cast<double>(block.block_bytes()) *
                      block.num_clients() / result.seconds;
-  result.per_client = clients[0]->stats();
-  result.events = cluster.scheduler().events_processed();
-  if (use_obs) bench::capture_latency(result, obs);
   return result;
 }
 
@@ -120,19 +71,11 @@ int block3d_main(int argc, char** argv) {
       std::vector<MethodResult> results;
       for (const Method method : methods) {
         if (method == Method::kPosix && skip_posix) continue;
-        if (method == Method::kDataSieving && is_write) {
-          MethodResult r;
-          r.method = method;
-          r.supported = false;  // PVFS: no locks, no sieving writes
-          results.push_back(r);
-          report.methods.push_back(bench::to_report(r, tag));
-          bench::print_figure_row(r);
-          continue;
-        }
+        // Sieving writes come back unsupported: PVFS has no locks.
         results.push_back(run_block3d(method, block, is_write, use_obs));
         report.methods.push_back(bench::to_report(results.back(), tag));
         bench::print_figure_row(results.back());
-        if (csv) {
+        if (csv && results.back().supported()) {
           std::printf("csv,%s,%d,%s,%.3f,%.3f\n",
                       is_write ? "write" : "read", block.num_clients(),
                       std::string(mpiio::method_name(method)).c_str(),

@@ -15,14 +15,10 @@
 //                          983 040 requests per client)
 #include <cstdint>
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "collective/comm.h"
-#include "io/methods.h"
-#include "mpiio/file.h"
-#include "pfs/cluster.h"
 #include "workloads/flash.h"
 
 namespace dtio {
@@ -30,7 +26,6 @@ namespace {
 
 using bench::MethodResult;
 using mpiio::Method;
-using sim::Task;
 
 /// Aggregate write-behind counters across all clients of one run.
 struct WbTotals {
@@ -46,61 +41,29 @@ MethodResult run_flash(Method method, const workloads::FlashConfig& flash,
   net::ClusterConfig cfg;
   cfg.num_clients = nclients;
   cfg.client.write_behind_bytes = write_behind;
-
-  pfs::Cluster cluster(cfg);
   obs::Observability obs(1 << 16);
-  if (use_obs) cluster.set_observability(&obs);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), nclients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < nclients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/checkpoint", true);
-  }(*files[0]));
-  cluster.run();
-
-  const SimTime t0 = cluster.scheduler().now();
-  for (int r = 0; r < nclients; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, coll::Communicator& c,
-           const workloads::FlashConfig& fl, int rank, int n,
-           Method m) -> Task<void> {
-          if (rank != 0) (void)co_await f.open("/checkpoint", false);
-          f.set_view(fl.displacement(rank), types::byte_t(), fl.filetype(n));
-          auto memtype = fl.memtype();
-          (void)co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype, m);
-        }(*files[r], comm, flash, r, nclients, method));
-  }
-  cluster.run();
-
-  MethodResult result;
-  result.method = method;
-  result.seconds = to_seconds(cluster.scheduler().now() - t0);
+  MethodResult result = bench::run_ranks(
+      method, cfg, "/checkpoint", use_obs ? &obs : nullptr,
+      [&](mpiio::File& f, coll::Communicator& c, int rank) {
+        return bench::flash_checkpoint(f, c, flash, rank, method);
+      },
+      [&](pfs::Cluster& cluster, bench::Ranks& ranks, SimTime t0) {
+        if (wb != nullptr) {
+          for (const auto& client : ranks.clients) {
+            wb->flushes += static_cast<double>(client->wb_flushes());
+            wb->batches += static_cast<double>(client->wb_batches());
+            wb->coalesced += static_cast<double>(client->wb_coalesced_ops());
+            wb->staged_ops += static_cast<double>(client->wb_staged_ops());
+          }
+        }
+        if (utilization) {
+          std::printf("%s", cluster.utilization_report(t0).c_str());
+        }
+      });
+  bench::require_no_failures(result, "flash_io",
+                             std::to_string(nclients) + " clients");
   result.bandwidth =
       static_cast<double>(flash.bytes_per_proc()) * nclients / result.seconds;
-  result.per_client = clients[0]->stats();
-  result.events = cluster.scheduler().events_processed();
-  if (wb != nullptr) {
-    for (const auto& client : clients) {
-      wb->flushes += static_cast<double>(client->wb_flushes());
-      wb->batches += static_cast<double>(client->wb_batches());
-      wb->coalesced += static_cast<double>(client->wb_coalesced_ops());
-      wb->staged_ops += static_cast<double>(client->wb_staged_ops());
-    }
-  }
-  if (use_obs) bench::capture_latency(result, obs);
-  if (utilization) {
-    std::printf("%s", cluster.utilization_report(t0).c_str());
-  }
   return result;
 }
 

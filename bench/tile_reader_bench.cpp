@@ -49,29 +49,10 @@ namespace dtio {
 namespace {
 
 using bench::MethodResult;
+using bench::Ranks;
 using mpiio::Method;
 using sim::Task;
 using Scalars = std::map<std::string, double>;
-
-/// One client stack per rank: pfs::Client, io::Context and mpiio::File.
-/// Timing-only (no data bytes move) at this scale.
-struct Ranks {
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-};
-
-Ranks make_ranks(pfs::Cluster& cluster) {
-  Ranks out;
-  for (int r = 0; r < cluster.config().num_clients; ++r) {
-    out.clients.push_back(cluster.make_client(r));
-    out.clients.back()->set_transfer_data(false);
-    out.contexts.push_back(std::make_unique<io::Context>(io::Context{
-        cluster.scheduler(), *out.clients.back(), cluster.config()}));
-    out.files.push_back(std::make_unique<mpiio::File>(*out.contexts.back()));
-  }
-  return out;
-}
 
 /// Rank 0 creates the frame file (contents are irrelevant for read timing).
 void create_frames(pfs::Cluster& cluster, Ranks& ranks) {
@@ -200,6 +181,22 @@ void print_scalars(const Scalars& s, const char* title,
   }
 }
 
+/// One rank of a Figure 8 run: collective reads of every frame of its
+/// tile, stopping at the first status that is not OK.
+Task<Status> tile_frames(mpiio::File& f, coll::Communicator& c,
+                         const workloads::TileConfig& t, int rank, int frames,
+                         Method m) {
+  f.set_view(0, types::byte_t(), t.tile_filetype(rank));
+  auto memtype = t.memtype();
+  for (int frame = 0; frame < frames; ++frame) {
+    Status s = co_await f.read_at_all(
+        c, rank, static_cast<std::int64_t>(frame) * t.tile_bytes(), nullptr,
+        1, memtype, m);
+    if (!s.is_ok()) co_return s;
+  }
+  co_return Status::ok();
+}
+
 MethodResult run_tile(Method method, const workloads::TileConfig& tile,
                       int frames, bool use_obs,
                       const std::string& trace_path,
@@ -208,72 +205,33 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
   net::ClusterConfig cfg;  // paper defaults: 16 servers, 64 KiB strips
   cfg.num_clients = tile.num_clients();
   cfg.server.pruned_expansion = pruned_expansion;
-
-  pfs::Cluster cluster(cfg);
   obs::Observability obs(1 << 18);
-  if (use_obs) cluster.set_observability(&obs);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), cfg.num_clients);
-  Ranks ranks = make_ranks(cluster);
-  create_frames(cluster, ranks);
-
-  const SimTime t0 = cluster.scheduler().now();
-  int failures = 0;
-  int unsupported = 0;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, coll::Communicator& c,
-           const workloads::TileConfig& t, int rank, int nframes, Method m,
-           int& fail, int& unsup) -> Task<void> {
-          if (rank != 0) (void)co_await f.open("/frames", false);
-          f.set_view(0, types::byte_t(), t.tile_filetype(rank));
-          auto memtype = t.memtype();
-          for (int frame = 0; frame < nframes; ++frame) {
-            Status s = co_await f.read_at_all(
-                c, rank, static_cast<std::int64_t>(frame) * t.tile_bytes(),
-                nullptr, 1, memtype, m);
-            if (s.code() == StatusCode::kUnsupported) {
-              ++unsup;
-              co_return;
-            }
-            if (!s.is_ok()) {
-              ++fail;
-              co_return;
-            }
-          }
-        }(*ranks.files[r], comm, tile, r, frames, method, failures,
-          unsupported));
-  }
-  cluster.run();
-
-  MethodResult result;
-  result.method = method;
-  if (unsupported > 0) {
-    result.supported = false;
-    return result;
-  }
-  result.seconds = to_seconds(cluster.scheduler().now() - t0);
+  MethodResult result = bench::run_ranks(
+      method, cfg, "/frames", use_obs ? &obs : nullptr,
+      [&](mpiio::File& f, coll::Communicator& c, int rank) {
+        return tile_frames(f, c, tile, rank, frames, method);
+      },
+      [&](pfs::Cluster& cluster, bench::Ranks&, SimTime) {
+        if (servers != nullptr) *servers = cluster.server_stats_total();
+        if (!use_obs) return;
+        cluster.record_metrics();
+        if (!trace_path.empty() && cluster.write_trace(trace_path)) {
+          std::printf("chrome trace (%s run): %s\n",
+                      std::string(mpiio::method_name(method)).c_str(),
+                      trace_path.c_str());
+        }
+      });
+  bench::require_no_failures(result, "tile_reader",
+                             "frames=" + std::to_string(frames));
   const double desired_total = static_cast<double>(tile.tile_bytes()) *
                                tile.num_clients() * frames;
   result.bandwidth = desired_total / result.seconds;
-  result.per_client = ranks.clients[0]->stats();
   // Per-frame characteristics for Table 1.
   result.per_client.desired_bytes /= static_cast<std::uint64_t>(frames);
   result.per_client.accessed_bytes /= static_cast<std::uint64_t>(frames);
   result.per_client.io_ops /= static_cast<std::uint64_t>(frames);
   result.per_client.resent_bytes /= static_cast<std::uint64_t>(frames);
   result.per_client.request_bytes /= static_cast<std::uint64_t>(frames);
-  result.events = cluster.scheduler().events_processed();
-  if (servers != nullptr) *servers = cluster.server_stats_total();
-  if (use_obs) {
-    bench::capture_latency(result, obs);
-    cluster.record_metrics();
-    if (!trace_path.empty() && cluster.write_trace(trace_path)) {
-      std::printf("chrome trace (%s run): %s\n",
-                  std::string(mpiio::method_name(method)).c_str(),
-                  trace_path.c_str());
-    }
-  }
   return result;
 }
 
@@ -340,7 +298,7 @@ void run_chaos_arm(const workloads::TileConfig& tile, int frames,
     plan.set_scope_max_node(cluster.config().num_servers);
     cluster.set_fault_plan(&plan);
   }
-  Ranks ranks = make_ranks(cluster);
+  Ranks ranks = bench::make_ranks(cluster);
   create_frames(cluster, ranks);
 
   if (with_faults) {
@@ -573,7 +531,7 @@ void run_cache_arm(const workloads::TileConfig& tile, int frames,
     cfg.server.cache_capacity_bytes = 256ull << 20;  // holds the dataset
   }
   pfs::Cluster cluster(cfg);
-  Ranks ranks = make_ranks(cluster);
+  Ranks ranks = bench::make_ranks(cluster);
   int failures = 0;
   run_tile_pass(cluster, ranks, tile, frames, /*write=*/true, failures);
   // Make the write pass durable, then drop every cache (a fleet-wide
@@ -892,7 +850,7 @@ int tile_main(int argc, char** argv) {
   if (bench::flag_set(argc, argv, "--csv")) {
     std::printf("\ncsv,method,agg_mbps,sim_sec\n");
     for (const auto& r : results) {
-      if (!r.supported) continue;
+      if (!r.supported()) continue;
       std::printf("csv,%s,%.3f,%.3f\n",
                   std::string(mpiio::method_name(r.method)).c_str(),
                   bench::to_mb(r.bandwidth), r.seconds);

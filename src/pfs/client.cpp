@@ -28,10 +28,6 @@ SimTime retry_backoff(SimTime base, int retry) {
   return base;
 }
 
-/// EWMA smoothing for per-server latency / failure-rate health tracking
-/// (diagnostics; the breaker trips on the consecutive-failure count).
-constexpr double kHealthEwmaAlpha = 0.2;
-
 /// Fixed CPU cost to issue one file-system operation.
 constexpr SimTime kIssueOverhead = 100 * kMicrosecond;
 
@@ -279,8 +275,6 @@ Client::LaneHealth Client::lane_health(int server) const {
   LaneHealth h;
   h.window = l.window < 0 ? config_->client.flow_window : l.window;
   h.outstanding = l.outstanding;
-  h.ewma_latency_ns = l.ewma_latency_ns;
-  h.failure_rate = l.failure_rate;
   h.consecutive_failures = l.consecutive_failures;
   h.breaker = static_cast<int>(l.breaker);
   return h;
@@ -330,19 +324,6 @@ void Client::note_window_decrease(Lane& l) {
   if (config_->client.flow_window <= 0 || l.window <= 1) return;
   l.window = std::max(1, l.window / 2);  // multiplicative decrease, floor 1
   l.window_credit = 0;
-}
-
-void Client::health_note(Lane& l, SimTime latency, bool failed, bool hedged) {
-  const double a = kHealthEwmaAlpha;
-  l.failure_rate = a * (failed ? 1.0 : 0.0) + (1.0 - a) * l.failure_rate;
-  if (failed) return;
-  l.ewma_latency_ns =
-      l.ewma_latency_ns == 0
-          ? static_cast<double>(latency)
-          : a * static_cast<double>(latency) + (1.0 - a) * l.ewma_latency_ns;
-  if (hedged) return;  // keep the deadline quantile on the healthy baseline
-  l.attempt_latency.record(latency);
-  ++l.samples;
 }
 
 bool Client::breaker_try_pass(Lane& l, int server) {
@@ -522,8 +503,8 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       // read hedges are idempotent by nature.
       SimTime hedge_delay = 0;
       if (cc.hedge_quantile > 0 && data_read &&
-          ln.samples >= static_cast<std::uint64_t>(
-                            std::max(1, cc.hedge_min_samples)) &&
+          ln.attempt_latency.count() >=
+              static_cast<std::uint64_t>(std::max(1, cc.hedge_min_samples)) &&
           ln.breaker == Lane::Breaker::kClosed) {
         // The log-linear histogram reports bucket midpoints, which can sit
         // just below the true quantile sample — close enough for a healthy
@@ -564,7 +545,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       }
       if (!maybe.has_value()) {
         ++rpc_timeouts_;
-        health_note(ln, 0, /*failed=*/true);
         note_window_decrease(ln);
         breaker_on_failure(ln, slot->server);
         last = timed_out_error("rpc to server " +
@@ -597,7 +577,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     if (reply.has_payload_crc && reply.data &&
         crc32(*reply.data) != reply.payload_crc) {
       all_timeouts = false;
-      health_note(ln, 0, /*failed=*/true);
       // The observed CRC is embedded so two distinct corruptions of the
       // same reply never look like the identical, deterministic failure
       // the data-loss fast-fail below keys on.
@@ -620,7 +599,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         ++overloads_seen_;
         // One reply, one decrease: a shed batch halves the AIMD window
         // once, regardless of how many sub-ops it carried.
-        health_note(ln, 0, /*failed=*/true);
         note_window_decrease(ln);
         retry_after_hint = reply.retry_after;
         if (attempt < max_attempts) {
@@ -633,7 +611,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       // its acknowledged sub-ops first so only the rejected remainder is
       // resent.
       if (code == StatusCode::kDataLoss) {
-        health_note(ln, 0, /*failed=*/true);
         // Persistent-loss fast-fail: N consecutive byte-identical
         // kDataLoss rejections of a data read mean the server keeps
         // hitting the same unrepairable media fault — burning the rest of
@@ -661,8 +638,13 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       slot->reply = std::move(reply);
       co_return;
     }
-    health_note(ln, sched_->now() - attempt_start, /*failed=*/false,
-                hedge_sent);
+    // Feed the hedging deadline quantile, unless this attempt issued a
+    // hedge: a straggling server would otherwise inflate the quantile past
+    // rpc_timeout and disable the very mechanism masking it, so the
+    // histogram tracks the healthy baseline only.
+    if (cc.hedge_quantile > 0 && !hedge_sent) {
+      ln.attempt_latency.record(sched_->now() - attempt_start);
+    }
     note_window_increase(ln);
     slot->status = Status::ok();
     slot->reply = std::move(reply);

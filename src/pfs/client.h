@@ -169,8 +169,6 @@ class Client {
   struct LaneHealth {
     int window = 0;       ///< current AIMD cap (0 = flow control off)
     int outstanding = 0;
-    double ewma_latency_ns = 0;
-    double failure_rate = 0;  ///< EWMA of attempt failures in [0, 1]
     int consecutive_failures = 0;
     int breaker = 0;  ///< 0 = closed, 1 = open, 2 = half-open
   };
@@ -370,9 +368,9 @@ class Client {
   /// Copy a settled group's outcome into the logical slot.
   static void quorum_outcome(const QuorumGroup& group, RpcSlot& slot);
 
-  /// Per-server robustness state ("lane"): AIMD congestion window, EWMA
-  /// health, circuit breaker, and the attempt-latency histogram that
-  /// supplies the hedging deadline quantile.
+  /// Per-server robustness state ("lane"): AIMD congestion window,
+  /// circuit breaker, and the attempt-latency histogram that supplies the
+  /// hedging deadline quantile.
   struct Lane {
     enum class Breaker { kClosed, kOpen, kHalfOpen };
 
@@ -381,16 +379,15 @@ class Client {
     double window_credit = 0;  ///< additive-increase accumulator
     std::deque<std::coroutine_handle<>> waiters;
 
-    double ewma_latency_ns = 0;
-    double failure_rate = 0;
     int consecutive_failures = 0;
 
     Breaker breaker = Breaker::kClosed;
     SimTime open_until = 0;
     bool probe_in_flight = false;  ///< half-open admits one probe at a time
 
-    obs::Histogram attempt_latency;  ///< successful attempts only
-    std::uint64_t samples = 0;
+    /// Successful unhedged attempts, recorded only when hedging is on:
+    /// the hedging deadline quantile is its one reader.
+    obs::Histogram attempt_latency;
   };
 
   /// Awaiter for one AIMD window slot on a lane; parks FIFO when the
@@ -425,12 +422,6 @@ class Client {
   void note_window_increase(Lane& l);
   /// …halve (floor 1) on timeout or kOverloaded.
   void note_window_decrease(Lane& l);
-  /// EWMA latency / failure-rate update. Successful attempts also feed the
-  /// hedging histogram — unless the attempt issued a hedge: a straggling
-  /// server would otherwise inflate the deadline quantile past rpc_timeout
-  /// and disable the very mechanism masking it, so the histogram tracks
-  /// the healthy baseline only.
-  void health_note(Lane& l, SimTime latency, bool failed, bool hedged = false);
   /// Circuit breaker: false = fail fast (open, or half-open probe taken).
   [[nodiscard]] bool breaker_try_pass(Lane& l, int server);
   void breaker_on_success(Lane& l, int server);

@@ -421,7 +421,6 @@ TEST(FlowControl, WindowShrinksUnderTimeoutsThenRecovers) {
   // the outage climbed it back additively, well short of the cap.
   EXPECT_LT(health.window, 8);
   EXPECT_GE(health.window, 1);
-  EXPECT_GT(health.ewma_latency_ns, 0.0);
 }
 
 std::uint64_t backlog_with_flow_window(int flow_window) {

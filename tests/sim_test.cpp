@@ -14,7 +14,6 @@
 #include "common/frame_pool.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "sim/barrier.h"
 #include "sim/body.h"
 #include "sim/mailbox.h"
 #include "sim/resource.h"
@@ -280,55 +279,17 @@ TEST(Mailbox, SourceFilterMatchesSpecificSender) {
   EXPECT_EQ(got, 60);
 }
 
-TEST(Barrier, ReleasesAllAtLastArrival) {
-  Scheduler sched;
-  Barrier barrier(sched, 3);
-  std::vector<SimTime> pass_times;
-  for (int i = 0; i < 3; ++i) {
-    sched.spawn([](Scheduler& s, Barrier& b, std::vector<SimTime>& out,
-                   int id) -> Task<void> {
-      co_await s.delay(id * 10 * kMicrosecond);
-      co_await b.arrive_and_wait();
-      out.push_back(s.now());
-    }(sched, barrier, pass_times, i));
-  }
-  sched.run();
-  ASSERT_EQ(pass_times.size(), 3u);
-  for (const SimTime t : pass_times) EXPECT_EQ(t, 20 * kMicrosecond);
-}
-
-TEST(Barrier, IsReusableAcrossGenerations) {
-  Scheduler sched;
-  Barrier barrier(sched, 2);
-  int rounds_done = 0;
-  for (int i = 0; i < 2; ++i) {
-    sched.spawn([](Scheduler& s, Barrier& b, int& done, int id) -> Task<void> {
-      for (int round = 0; round < 3; ++round) {
-        co_await s.delay((id + 1) * kMicrosecond);
-        co_await b.arrive_and_wait();
-      }
-      ++done;
-    }(sched, barrier, rounds_done, i));
-  }
-  sched.run();
-  EXPECT_EQ(rounds_done, 2);
-  EXPECT_EQ(barrier.generation(), 3u);
-}
-
 TEST(Determinism, SameProgramSameEventCountAndTime) {
   auto run_once = []() -> std::pair<SimTime, std::uint64_t> {
     Scheduler sched;
     Resource r(sched, 2);
-    Barrier b(sched, 4);
     for (int i = 0; i < 4; ++i) {
-      sched.spawn([](Scheduler& s, Resource& res, Barrier& bar,
-                     int id) -> Task<void> {
+      sched.spawn([](Scheduler& s, Resource& res, int id) -> Task<void> {
         for (int k = 0; k < 10; ++k) {
           co_await res.use((id + k + 1) * kMicrosecond);
-          co_await bar.arrive_and_wait();
         }
         co_await s.delay(id);
-      }(sched, r, b, i));
+      }(sched, r, i));
     }
     sched.run();
     return {sched.now(), sched.events_processed()};
