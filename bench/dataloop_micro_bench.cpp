@@ -19,6 +19,8 @@
 #include "dataloop/dataloop.h"
 #include "dataloop/pack.h"
 #include "dataloop/serialize.h"
+#include "io/joint.h"
+#include "io/view.h"
 #include "pfs/layout.h"
 #include "types/datatype.h"
 #include "workloads/flash.h"
@@ -90,6 +92,43 @@ void BM_FlattenFlashMemtype(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cfg.joint_pieces());
 }
 BENCHMARK(BM_FlattenFlashMemtype);
+
+// The FLASH checkpoint's client-side joint walk (what list I/O does per
+// request batch): 983 040 joint pieces of one process, walked one piece
+// per next() call or one arithmetic run per next_run() call.
+void BM_JointWalkFlash(benchmark::State& state, bool runs) {
+  workloads::FlashConfig cfg;
+  constexpr int kProcs = 16;
+  const auto memtype = cfg.memtype();
+  const io::FileView view{cfg.displacement(1), types::byte_t(),
+                          cfg.filetype(kProcs)};
+  const io::StreamWindow window =
+      io::make_window(view, 0, cfg.bytes_per_proc());
+  std::int64_t pieces = 0;
+  for (auto _ : state) {
+    io::JointWalker walker(io::make_mem_cursor(memtype, 1),
+                           io::make_file_cursor(view, window));
+    pieces = 0;
+    if (runs) {
+      io::JointWalker::Run run;
+      while (walker.next_run(64, run)) {
+        for (std::int64_t i = 0; i < run.count; ++i) {
+          benchmark::DoNotOptimize(run.piece(i));
+        }
+        pieces += run.count;
+      }
+    } else {
+      io::JointWalker::Piece piece;
+      while (walker.next(piece)) {
+        benchmark::DoNotOptimize(piece);
+        ++pieces;
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * pieces);
+}
+BENCHMARK_CAPTURE(BM_JointWalkFlash, next, false);
+BENCHMARK_CAPTURE(BM_JointWalkFlash, next_run, true);
 
 void BM_PackVector(benchmark::State& state) {
   const std::int64_t regions = state.range(0);

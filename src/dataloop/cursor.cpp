@@ -318,6 +318,71 @@ void Cursor::advance(std::int64_t len) {
   }
 }
 
+std::int64_t Cursor::instances_left() const noexcept {
+  if (stack_.size() == 1) return count_ - inst_;
+  const Frame& parent = stack_[stack_.size() - 2];
+  const Dataloop& P = *parent.loop;
+  switch (P.kind) {
+    case Kind::kContig:
+      return P.count - parent.block;
+    case Kind::kVector:
+    case Kind::kBlockIndexed:
+      return P.blocklen - parent.elem;
+    case Kind::kIndexed:
+    case Kind::kStruct:
+      return P.blocklens[static_cast<std::size_t>(parent.block)] - parent.elem;
+    case Kind::kLeaf:
+      break;  // unreachable: a leaf has no children
+  }
+  return 1;
+}
+
+std::int64_t& Cursor::instance_counter() noexcept {
+  if (stack_.size() == 1) return inst_;
+  Frame& parent = stack_[stack_.size() - 2];
+  return parent.loop->kind == Kind::kContig ? parent.block : parent.elem;
+}
+
+bool Cursor::peek_run(Run& out) {
+  Region r;
+  if (!peek(r)) return false;
+  out = Run{r.offset, r.length, 0, 1};
+  // A filter may prune any later instance, and a partly consumed region
+  // differs in length from its successors: both stay one region at a time.
+  if (filter_ != nullptr || region_consumed_ != 0) return true;
+  const Frame& top = stack_.back();
+  const Dataloop& L = *top.loop;
+  if (L.kind == Kind::kLeaf || L.solid) {
+    out.stride = L.extent;
+    out.count = instances_left();
+  } else if (L.kind == Kind::kVector) {
+    out.stride = L.stride;
+    out.count = L.count - top.block;
+  }
+  // Only whole regions join a run; one the limit cuts short comes alone.
+  out.count = std::min(out.count, (limit_ - pos_) / out.length);
+  return true;
+}
+
+void Cursor::advance_run(const Run& run, std::int64_t n) {
+  assert(n >= 0 && n <= run.count);
+  if (n == 0) return;
+  // Step over all but the last region arithmetically; advance() then
+  // moves past the last one exactly as the region-at-a-time walk does.
+  const std::int64_t skip = n - 1;
+  if (skip > 0) {
+    Frame& top = stack_.back();
+    if (top.loop->kind == Kind::kLeaf || top.loop->solid) {
+      top.origin += skip * run.stride;
+      instance_counter() += skip;
+    } else {
+      top.block += skip;  // block-atomic vector
+    }
+    pos_ += skip * run.length;
+  }
+  advance(run.length);
+}
+
 void Cursor::seek(std::int64_t stream_pos) {
   if (stream_pos < 0 || stream_pos > total_bytes()) {
     throw std::out_of_range("Cursor::seek: position outside stream");

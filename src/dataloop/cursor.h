@@ -31,6 +31,16 @@
 
 namespace dtio::dl {
 
+/// An arithmetic run of `count` regions of `length` bytes, region i at
+/// offset + i*stride. A host-side shape only: expanding a run yields
+/// exactly the regions successive peek()/advance() calls would.
+struct Run {
+  std::int64_t offset = 0;
+  std::int64_t length = 0;
+  std::int64_t stride = 0;
+  std::int64_t count = 0;
+};
+
 /// Outcome of one process() call.
 struct ProcessResult {
   std::int64_t regions = 0;  ///< regions handed to the sink
@@ -131,6 +141,18 @@ class Cursor {
   /// Consume `len` bytes (len <= the length peek() reported).
   void advance(std::int64_t len);
 
+  /// Expose the next regions as one run without consuming them (false
+  /// when done). The run's first region is what peek() reports. With no
+  /// filter and no partly consumed region it extends over the remaining
+  /// leaf/solid instances of the enclosing block (stride = their extent)
+  /// or the remaining blocks of a block-atomic vector (stride = the
+  /// vector's stride), clipped to the stream limit; otherwise count == 1.
+  bool peek_run(Run& out);
+
+  /// Consume the first `n` regions of `run` (n <= run.count), which
+  /// peek_run() just reported.
+  void advance_run(const Run& run, std::int64_t n);
+
  private:
   struct Frame {
     const Dataloop* loop;
@@ -145,6 +167,11 @@ class Cursor {
   void descend_to(const Dataloop* loop, std::int64_t origin, std::int64_t rem);
 
   static bool block_atomic(const Dataloop& loop) noexcept;
+  /// Instances the top (leaf or solid) frame's parent still holds in its
+  /// current block, the top one included.
+  [[nodiscard]] std::int64_t instances_left() const noexcept;
+  /// The counter that steps the top frame's parent past one instance.
+  [[nodiscard]] std::int64_t& instance_counter() noexcept;
   [[nodiscard]] Region current_region() const;
 
   /// Skip a fresh subtree instance anchored at `origin` if its file span

@@ -8,13 +8,14 @@
 // though the file side alone is 4 KiB-contiguous).
 //
 // Streaming: nothing is materialised, so arbitrarily fine-grained accesses
-// walk in O(1) memory.
+// walk in O(1) memory. next_run() hands out arithmetic runs of pieces so a
+// caller that needs every piece pays one cursor step per run, not per
+// piece; the pieces themselves do not change.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "common/region.h"
 #include "dataloop/cursor.h"
 
 namespace dtio::io {
@@ -29,28 +30,63 @@ class JointWalker {
     std::int64_t mem_offset = 0;
     std::int64_t file_offset = 0;
     std::int64_t length = 0;
+
+    friend bool operator==(const Piece&, const Piece&) = default;
   };
 
-  /// Next joint piece; false at end of stream.
-  bool next(Piece& out) {
-    Region m, f;
-    if (!mem_.peek(m) || !file_.peek(f)) return false;
-    const std::int64_t len = std::min(m.length, f.length);
-    out = Piece{m.offset, f.offset, len};
-    mem_.advance(len);
-    file_.advance(len);
+  /// `count` joint pieces of `length` bytes; piece i sits at
+  /// mem_offset + i*mem_stride in memory and file_offset + i*file_stride
+  /// in the file. A host-side shape only: its pieces are exactly the ones
+  /// successive next() calls return.
+  struct Run {
+    std::int64_t mem_offset = 0;
+    std::int64_t file_offset = 0;
+    std::int64_t length = 0;
+    std::int64_t mem_stride = 0;
+    std::int64_t file_stride = 0;
+    std::int64_t count = 0;
+
+    [[nodiscard]] Piece piece(std::int64_t i) const noexcept {
+      return Piece{mem_offset + i * mem_stride, file_offset + i * file_stride,
+                   length};
+    }
+  };
+
+  /// Next run of at most `max_count` joint pieces; false at end of stream.
+  /// Equal-length cursor runs pair element by element; otherwise the
+  /// shorter side's run splits the longer side's first region (FLASH:
+  /// 8-byte memory elements at stride 192 against a 320 KiB file region).
+  bool next_run(std::int64_t max_count, Run& out) {
+    dl::Run m, f;
+    if (max_count <= 0 || !mem_.peek_run(m) || !file_.peek_run(f)) {
+      return false;
+    }
+    if (m.length == f.length) {
+      const std::int64_t n = std::min({m.count, f.count, max_count});
+      out = Run{m.offset, f.offset, m.length, m.stride, f.stride, n};
+      mem_.advance_run(m, n);
+      file_.advance_run(f, n);
+    } else if (m.length < f.length) {
+      const std::int64_t n =
+          std::min({m.count, f.length / m.length, max_count});
+      out = Run{m.offset, f.offset, m.length, m.stride, m.length, n};
+      mem_.advance_run(m, n);
+      file_.advance(n * m.length);
+    } else {
+      const std::int64_t n =
+          std::min({f.count, m.length / f.length, max_count});
+      out = Run{m.offset, f.offset, f.length, f.length, f.stride, n};
+      mem_.advance(n * f.length);
+      file_.advance_run(f, n);
+    }
     return true;
   }
 
-  /// Next joint piece, bounded by a byte budget.
-  bool next_bounded(std::int64_t max_len, Piece& out) {
-    Region m, f;
-    if (max_len <= 0 || !mem_.peek(m) || !file_.peek(f)) return false;
-    const std::int64_t len =
-        std::min({m.length, f.length, max_len});
-    out = Piece{m.offset, f.offset, len};
-    mem_.advance(len);
-    file_.advance(len);
+  /// Next joint piece; false at end of stream.
+  bool next(Piece& out) {
+    Run run;
+    if (!next_run(1, run)) return false;
+    out = run.piece(0);
     return true;
   }
 

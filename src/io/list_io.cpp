@@ -3,6 +3,7 @@
 // request, paper §2.4). The batches keep request sizes bounded but leave a
 // linear relationship between pieces and requests — the deficiency
 // datatype I/O removes.
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -20,7 +21,9 @@ sim::Task<Status> list_rw(Context& ctx, bool is_write, std::uint64_t handle,
   const std::int64_t total = count * memtype.size();
   ctx.client.stats().desired_bytes += static_cast<std::uint64_t>(total);
   const StreamWindow window = make_window(view, offset, total);
-  const auto cap = static_cast<std::size_t>(ctx.config.list_io_max_regions);
+  // A cap of 0 still sends one region per request.
+  const auto cap = std::max<std::size_t>(
+      1, static_cast<std::size_t>(ctx.config.list_io_max_regions));
   const bool transfer = ctx.client.transfer_data();
   const obs::SpanId span = detail::begin_method_span(
       ctx, is_write ? "list_write" : "list_read", total);
@@ -35,19 +38,24 @@ sim::Task<Status> list_rw(Context& ctx, bool is_write, std::uint64_t handle,
   file_batch.reserve(cap);
   mem_offsets.reserve(cap);
 
-  JointWalker::Piece piece;
-  bool more = walker.next(piece);
-  while (more) {
+  // Batches fill from joint runs: one walker step per run of pieces, and
+  // never more pieces than the batch has room for.
+  JointWalker::Run run;
+  while (walker.next_run(static_cast<std::int64_t>(cap), run)) {
     ++batches;
     file_batch.clear();
     mem_offsets.clear();
     std::int64_t batch_bytes = 0;
     do {
-      file_batch.push_back(Region{piece.file_offset, piece.length});
-      mem_offsets.push_back(piece.mem_offset);
-      batch_bytes += piece.length;
-      more = walker.next(piece);
-    } while (more && file_batch.size() < cap);
+      for (std::int64_t i = 0; i < run.count; ++i) {
+        const JointWalker::Piece piece = run.piece(i);
+        file_batch.push_back(Region{piece.file_offset, piece.length});
+        mem_offsets.push_back(piece.mem_offset);
+      }
+      batch_bytes += run.count * run.length;
+    } while (file_batch.size() < cap &&
+             walker.next_run(static_cast<std::int64_t>(cap - file_batch.size()),
+                             run));
 
     // Flattening both types into this batch of joint pieces is the
     // client-side cost list I/O pays on every request.

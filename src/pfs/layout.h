@@ -78,16 +78,34 @@ class FileLayout {
   /// byte position within the concatenated region data — the order in
   /// which a data stream maps onto the pieces, which is how clients
   /// segment outgoing data per server and servers locate their slice.
+  /// The walk keeps the strip its last piece landed in: a piece that
+  /// starts inside it is placed by an offset from the strip's placement,
+  /// without place()'s divisions.
   template <typename Callback>
   void map_regions(std::span<const Region> regions, Callback&& cb) const {
+    std::int64_t strip_lo = 0;  // [strip_lo, strip_hi): the kept strip
+    std::int64_t strip_hi = 0;  // (empty until a piece sets it)
+    Placement strip{};          // placement of strip_lo
     std::int64_t stream_pos = 0;
     for (const Region& r : regions) {
       std::int64_t offset = r.offset;
       std::int64_t remaining = r.length;
       while (remaining > 0) {
-        const Placement p = place(offset);
-        const std::int64_t run =
-            std::min(remaining, strip_size_ - offset % strip_size_);
+        Placement p;
+        std::int64_t run;
+        if (offset >= strip_lo && offset < strip_hi) {
+          p = Placement{strip.server, strip.physical + (offset - strip_lo)};
+          run = std::min(remaining, strip_hi - offset);
+        } else {
+          p = place(offset);
+          const std::int64_t into = offset % strip_size_;
+          run = std::min(remaining, strip_size_ - into);
+          if (offset >= 0) {
+            strip_lo = offset - into;
+            strip_hi = strip_lo + strip_size_;
+            strip = Placement{p.server, p.physical - into};
+          }
+        }
         cb(p.server, Region{p.physical, run}, stream_pos);
         offset += run;
         remaining -= run;

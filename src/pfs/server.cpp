@@ -152,7 +152,13 @@ struct Applier {
   }
 
   void apply(Region logical) {
-    layout.map_region(logical, [&](int server, Region phys, std::int64_t) {
+    apply_all(std::span<const Region>(&logical, 1));
+  }
+
+  /// One map_regions pass over a whole region list, so the layout's kept
+  /// strip carries from one region to the next.
+  void apply_all(std::span<const Region> regions) {
+    layout.map_regions(regions, [&](int server, Region phys, std::int64_t) {
       ++pieces;
       if (server != my_server) return;
       ++my_pieces;
@@ -996,7 +1002,7 @@ sim::Task<void> IOServer::handle_data(Request& request) {
     std::int64_t window = 0;
     for (const Region& r : l->regions) window += r.length;
     applier.reserve(window);
-    for (const Region& r : l->regions) applier.apply(r);
+    applier.apply_all(l->regions);
   } else {
     const auto& p = std::get<DatatypePayload>(request.payload);
     applier.reserve(p.stream_length);

@@ -243,6 +243,65 @@ TEST(Cursor, ResizedChildLeavesGapsBetweenElements) {
   EXPECT_EQ(regions, (std::vector<Region>{{0, 4}, {10, 4}, {20, 4}}));
 }
 
+TEST(CursorRun, LeafInstancesOfABlockFormOneRun) {
+  // Blocks of 3 gapped 4-byte elements: a run covers the elements left
+  // in the current block, stepping by the element extent.
+  auto loop = make_vector(2, 3, 100, make_resized(make_leaf(4), 0, 10));
+  Cursor c(loop, 1000, 1);
+  dl::Run run;
+  ASSERT_TRUE(c.peek_run(run));
+  EXPECT_EQ(run.offset, 1000);
+  EXPECT_EQ(run.length, 4);
+  EXPECT_EQ(run.stride, 10);
+  EXPECT_EQ(run.count, 3);
+  c.advance_run(run, 2);
+  ASSERT_TRUE(c.peek_run(run));
+  EXPECT_EQ(run.offset, 1020);
+  EXPECT_EQ(run.count, 1);
+  c.advance_run(run, 1);
+  ASSERT_TRUE(c.peek_run(run));
+  EXPECT_EQ(run.offset, 1100);  // next block
+  EXPECT_EQ(run.count, 3);
+}
+
+TEST(CursorRun, AtomicVectorBlocksFormOneRun) {
+  // Packed children make each block one region; a run spans the blocks
+  // left, stepping by the vector stride, clipped to the stream limit.
+  auto loop = make_vector(5, 4, 32, make_leaf(2));
+  Cursor c(loop, 0, 1);
+  c.set_stream_limit(4 * 8 + 3);
+  dl::Run run;
+  ASSERT_TRUE(c.peek_run(run));
+  EXPECT_EQ(run.offset, 0);
+  EXPECT_EQ(run.length, 8);
+  EXPECT_EQ(run.stride, 32);
+  EXPECT_EQ(run.count, 4);  // the fifth block is cut short by the limit
+  c.advance_run(run, 4);
+  ASSERT_TRUE(c.peek_run(run));
+  EXPECT_EQ(run.offset, 128);
+  EXPECT_EQ(run.length, 3);
+  EXPECT_EQ(run.count, 1);
+}
+
+TEST(CursorRun, PartlyConsumedOrFilteredRegionsComeAlone) {
+  auto loop = make_vector(4, 2, 32, make_leaf(4));
+  Cursor partial(loop, 0, 1);
+  Region first;
+  ASSERT_TRUE(partial.peek(first));
+  partial.advance(3);
+  dl::Run run;
+  ASSERT_TRUE(partial.peek_run(run));
+  EXPECT_EQ(run.offset, 3);
+  EXPECT_EQ(run.length, 5);
+  EXPECT_EQ(run.count, 1);
+
+  Cursor filtered(loop, 0, 1);
+  filtered.set_filter(
+      [](const void*, std::int64_t, std::int64_t) { return true; }, nullptr);
+  ASSERT_TRUE(filtered.peek_run(run));
+  EXPECT_EQ(run.count, 1);
+}
+
 TEST(Cursor, CoalesceMergesTouchingBlocks) {
   // Indexed with adjacent blocks 0..8 and 8..12.
   const std::int64_t lens[] = {2, 1, 2};
@@ -716,7 +775,13 @@ TEST(Cursor, DeepNestingStress) {
 
 DataloopPtr random_type(Rng& rng, int depth) {
   if (depth == 0) {
-    return make_leaf(rng.next_range(1, 16));
+    auto leaf = make_leaf(rng.next_range(1, 16));
+    // A resized leaf is not packed: its parent's blocks stay per-element
+    // regions, which is what cursor runs of leaf instances walk.
+    if (rng.next_below(3) == 0) {
+      return make_resized(leaf, 0, leaf->extent + rng.next_range(1, 16));
+    }
+    return leaf;
   }
   auto child = random_type(rng, depth - 1);
   switch (rng.next_below(5)) {
@@ -848,6 +913,48 @@ TEST_P(DataloopProperty, SeekEquivalentToSkip) {
   (void)collect(walker, kUnlimited, pos);
   auto via_walk = collect(walker);
   EXPECT_EQ(via_seek, via_walk);
+}
+
+TEST_P(DataloopProperty, RunsMatchPeekAdvance) {
+  // Expanding peek_run() runs, consuming a random n <= count of each,
+  // yields exactly the peek()/advance() regions, from a random seek
+  // position and under an optional stream limit.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761ULL);
+  auto type = random_type(rng, static_cast<int>(rng.next_range(1, 3)));
+  const std::int64_t count = rng.next_range(1, 4);
+  const std::int64_t base = rng.next_range(0, 100);
+  const std::int64_t total = type->size * count;
+  const std::int64_t start = rng.next_range(0, total);
+  const bool limited = rng.next_below(2) == 0;
+  const std::int64_t limit = rng.next_range(start, total);
+  auto make = [&] {
+    Cursor c(type, base, count);
+    c.seek(start);
+    if (limited) c.set_stream_limit(limit);
+    return c;
+  };
+
+  Cursor single = make();
+  std::vector<Region> expect;
+  Region r;
+  while (single.peek(r)) {
+    expect.push_back(r);
+    single.advance(r.length);
+  }
+
+  Cursor runs = make();
+  std::vector<Region> got;
+  dl::Run run;
+  while (runs.peek_run(run)) {
+    ASSERT_GE(run.count, 1);
+    const std::int64_t n = rng.next_range(1, run.count);
+    for (std::int64_t i = 0; i < n; ++i) {
+      got.push_back(Region{run.offset + i * run.stride, run.length});
+    }
+    runs.advance_run(run, n);
+  }
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(runs.position(), single.position());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTypes, DataloopProperty,

@@ -5,6 +5,7 @@
 // the analytic expectations that back the paper's Tables 1-3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "mpiio/file.h"
 #include "pfs/cluster.h"
 #include "types/datatype.h"
+#include "workloads/flash.h"
 
 namespace dtio {
 namespace {
@@ -488,6 +490,112 @@ TEST(Joint, WindowSeekAlignsFileSide) {
   EXPECT_EQ(pieces[0].length, 4);
   EXPECT_EQ(pieces[1].file_offset, 100 + 64);
   EXPECT_EQ(pieces[1].length, 4);
+}
+
+/// A small random access type: strided or indexed blocks of bytes, of
+/// doubles, or of doubles resized to leave gaps (whose elements stay
+/// separate regions and walk as runs of leaf instances), sometimes
+/// repeated contiguously.
+types::Datatype random_access_type(Rng& rng) {
+  types::Datatype el = types::byte_t();
+  switch (rng.next_below(3)) {
+    case 0:
+      break;
+    case 1:
+      el = types::double_t();
+      break;
+    default:
+      el = types::resized(types::double_t(), 0, 8 * rng.next_range(2, 4));
+      break;
+  }
+  const std::int64_t count = rng.next_range(1, 6);
+  const std::int64_t blocklen = rng.next_range(1, 6);
+  types::Datatype t;
+  if (rng.next_below(2) == 0) {
+    t = types::hvector(count, blocklen,
+                       blocklen * el.extent() + rng.next_range(0, 24), el);
+  } else {
+    std::vector<std::int64_t> lens, displs;
+    std::int64_t at = rng.next_range(0, 16);
+    for (std::int64_t i = 0; i < count; ++i) {
+      lens.push_back(rng.next_range(1, blocklen));
+      displs.push_back(at);
+      at += lens.back() * el.extent() + rng.next_range(0, 24);
+    }
+    t = types::hindexed(lens, displs, el);
+  }
+  if (rng.next_below(3) == 0) t = types::contiguous(rng.next_range(2, 3), t);
+  return t;
+}
+
+std::vector<io::JointWalker::Piece> walk_pieces(io::JointWalker walker) {
+  std::vector<io::JointWalker::Piece> pieces;
+  io::JointWalker::Piece p;
+  while (walker.next(p)) pieces.push_back(p);
+  return pieces;
+}
+
+/// Expands next_run() runs drawn with a random max_count; `longest` is
+/// the largest run seen.
+std::vector<io::JointWalker::Piece> walk_runs(io::JointWalker walker, Rng& rng,
+                                              std::int64_t& longest) {
+  std::vector<io::JointWalker::Piece> pieces;
+  io::JointWalker::Run run;
+  longest = 0;
+  std::int64_t max_count = 64;
+  while (walker.next_run(max_count, run)) {
+    EXPECT_GE(run.count, 1);
+    EXPECT_LE(run.count, max_count);
+    longest = std::max(longest, run.count);
+    for (std::int64_t i = 0; i < run.count; ++i) {
+      pieces.push_back(run.piece(i));
+    }
+    max_count = rng.next_below(2) == 0 ? rng.next_range(1, 4) : 64;
+  }
+  return pieces;
+}
+
+TEST(Joint, RunsMatchPieces) {
+  // next_run() is a host-side shape only: its expanded runs are exactly
+  // the pieces next() returns, for random memory/file type pairs and for
+  // the FLASH checkpoint (8-byte memory elements split 4 KiB+ file runs).
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const types::Datatype memtype = random_access_type(rng);
+    const types::Datatype filetype = random_access_type(rng);
+    const std::int64_t count = rng.next_range(1, 3);
+    const io::FileView view{rng.next_range(0, 64), types::byte_t(), filetype};
+    const io::StreamWindow window = io::make_window(
+        view, rng.next_range(0, filetype.size()), count * memtype.size());
+    auto walker = [&] {
+      return io::JointWalker(io::make_mem_cursor(memtype, count),
+                             io::make_file_cursor(view, window));
+    };
+    std::int64_t longest = 0;
+    const auto expect = walk_pieces(walker());
+    EXPECT_EQ(walk_runs(walker(), rng, longest), expect)
+        << "trial " << trial << ": mem " << memtype.to_string() << ", file "
+        << filetype.to_string();
+  }
+
+  workloads::FlashConfig flash;
+  flash.blocks_per_proc = 2;
+  constexpr int kProcs = 4;
+  for (int rank = 0; rank < kProcs; ++rank) {
+    const io::FileView view{flash.displacement(rank), types::byte_t(),
+                            flash.filetype(kProcs)};
+    const io::StreamWindow window =
+        io::make_window(view, 0, flash.bytes_per_proc());
+    auto walker = [&] {
+      return io::JointWalker(io::make_mem_cursor(flash.memtype(), 1),
+                             io::make_file_cursor(view, window));
+    };
+    std::int64_t longest = 0;
+    const auto expect = walk_pieces(walker());
+    EXPECT_EQ(static_cast<std::int64_t>(expect.size()), flash.joint_pieces());
+    EXPECT_EQ(walk_runs(walker(), rng, longest), expect) << "rank " << rank;
+    EXPECT_GT(longest, 1);  // the run path, not one piece at a time
+  }
 }
 
 }  // namespace

@@ -75,6 +75,46 @@ TEST(Layout, MapRegionsTracksStreamAcrossRegions) {
   EXPECT_EQ(stream_positions, (std::vector<std::int64_t>{0, 4}));
 }
 
+TEST(Layout, MapRegionsMatchesPlace) {
+  // The strip map_regions keeps across pieces is only a shortcut: random
+  // regions that cross strips, touch, or jump back map exactly as
+  // splitting at strip boundaries and placing each piece does, on global
+  // and on narrow per-file layouts.
+  Rng rng(29);
+  const FileLayout layouts[] = {FileLayout(4, 10), FileLayout(16, 64),
+                                FileLayout(3, 7, 5, 8),
+                                FileLayout(2, 10, 3, 4)};
+  for (const FileLayout& layout : layouts) {
+    const std::int64_t strip = layout.strip_size();
+    for (int trial = 0; trial < 300; ++trial) {
+      std::vector<Region> regions;
+      std::int64_t at = rng.next_range(0, 400);
+      const std::int64_t n = rng.next_range(1, 12);
+      for (std::int64_t i = 0; i < n; ++i) {
+        if (rng.next_below(4) == 0) at = rng.next_range(0, 400);
+        const std::int64_t len = rng.next_range(1, 3 * strip);
+        regions.push_back(Region{at, len});
+        at += len + (rng.next_below(2) == 0 ? 0 : rng.next_range(1, 20));
+      }
+      std::vector<std::tuple<int, Region, std::int64_t>> expect, got;
+      std::int64_t pos = 0;
+      for (const Region& r : regions) {
+        for (std::int64_t off = r.offset; off < r.end();) {
+          const std::int64_t run = std::min(r.end() - off, strip - off % strip);
+          const FileLayout::Placement p = layout.place(off);
+          expect.emplace_back(p.server, Region{p.physical, run}, pos);
+          off += run;
+          pos += run;
+        }
+      }
+      layout.map_regions(regions, [&](int s, Region r, std::int64_t p) {
+        got.emplace_back(s, r, p);
+      });
+      ASSERT_EQ(got, expect) << "trial " << trial;
+    }
+  }
+}
+
 TEST(Layout, ServersTouched) {
   FileLayout layout(4, 10);
   EXPECT_EQ(layout.servers_touched({0, 5}), 1);
